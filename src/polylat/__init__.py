@@ -60,7 +60,7 @@ from .weights import (
     truncation_bound,
     wce_constant,
 )
-from .kernel import OmegaMatrix, mu_alpha, omega, omega_column, rader_multiply
+from .kernel import OmegaMatrix, mu_alpha, omega
 from .cbc import (
     BoundCheck,
     CbcResult,

@@ -47,8 +47,9 @@ MAX_DIRECT_CELLS = 1 << 27
 class CostLog:
     """Operation-count bookkeeping for the cost-model checks.
 
-    search_units: per component step, the FFT-scoring work proxy
-    M*ceil(log2 M); constant per step by construction.
+    search_units: per component step, the FFT-scoring work L*log2(L) for
+    the padded transform length L the kernel actually uses; constant per
+    step because L depends only on b^m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
     part of the cost model, the U update the alpha(s-J)N part).
@@ -90,8 +91,29 @@ class CbcResult:
         return doc
 
 
-def _argmin_candidate(scores: np.ndarray, matrix: OmegaMatrix, vec: np.ndarray) -> int:
-    """Smallest-encoding argmin with exact rescoring of FFT-level near-ties."""
+class NonFiniteScoreError(ArithmeticError):
+    """Candidate scores overflowed or became NaN, so a CBC step has no argmin."""
+
+    def __init__(self, step: int, regime: str, n_bad: int, n_total: int):
+        self.step = step
+        self.regime = regime
+        super().__init__(
+            f"CBC step {step} ({regime} regime): {n_bad} of {n_total} candidate "
+            "scores are not finite; the weighted recursion overflowed"
+        )
+
+
+def _argmin_candidate(
+    scores: np.ndarray, matrix: OmegaMatrix, vec: np.ndarray, step: int, regime: str
+) -> int:
+    """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
+
+    Raises NonFiniteScoreError when any score is inf or NaN: an overflowed
+    scoring vector leaves no trustworthy ordering of the candidates.
+    """
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise NonFiniteScoreError(step, regime, int(np.count_nonzero(~finite)), len(scores))
     best = float(scores.min())
     band = 1e-9 * max(1.0, abs(best))
     cands = np.flatnonzero(scores <= best + band)
@@ -119,22 +141,21 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         modulus = find_irreducible(b, m)
     matrix = OmegaMatrix(modulus, alpha)
     N = matrix.n_points
-    M = matrix.size
     omega0 = omega_at_position(None, alpha, b)
-    search_unit = M * max(1, math.ceil(math.log2(max(M, 2))))
+    search_unit = matrix.fft_len * (matrix.fft_len.bit_length() - 1)
 
     cost = CostLog(n_points=N)
     chosen = []
     e_steps = []
 
-    def select(weight_full: np.ndarray) -> GfPoly:
+    def select(weight_full: np.ndarray, regime: str) -> GfPoly:
         if not chosen:
             cost.search_units.append(search_unit)
             return GfPoly.one(b)
         vec = weight_full[1:]
         scores = matrix.multiply(vec)
         cost.search_units.append(search_unit)
-        return GfPoly.from_int(b, _argmin_candidate(scores, matrix, vec))
+        return GfPoly.from_int(b, _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime))
 
     def full_column(qpoly: GfPoly) -> np.ndarray:
         col = np.empty(N)
@@ -147,7 +168,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         G_s = sum(math.factorial(nu) * order_weight(s, nu, spec) for nu in range(1, alpha + 1))
         V = np.ones(N)
         for _t in range(alpha):
-            q = select(V * Y)
+            q = select(V * Y, "product")
             chosen.append(q)
             V = V * (1.0 + full_column(q))
             e_steps.append(float(np.sum((1.0 + G_s * (V - 1.0)) * Y)) / N - 1.0)
@@ -173,7 +194,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             cost.spod_assembly_units[s] = assembly
             V = np.ones(N)
             for _t in range(alpha):
-                q = select(V * W * (1.0 + S1))
+                q = select(V * W * (1.0 + S1), "SPOD")
                 chosen.append(q)
                 V = V * (1.0 + full_column(q))
                 S2 = S2_prev + (V - 1.0) * W

@@ -258,20 +258,34 @@ def _validate(cfg: RunConfig):
 # -- subcommands ---------------------------------------------------------------
 
 
+def _write_sidecar(path: str, sidecar: dict):
+    with open(path, "w") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_construct(cfg: RunConfig) -> int:
     spec = cfg.weight_spec()
     result = fast_cbc(spec, cfg.m, cfg.s)
     grid = cfg.lambda_grid or default_lambda_grid(spec.alpha)
-    check = verify_bound(result, spec, grid)
     out = cfg.out or f"polylat_b{cfg.b}_m{cfg.m}_s{cfg.s}.json"
     meta = dict(cfg.resolved_dict(), J=result.J)
+    # the finished vector and its sidecar go to disk before the bound check,
+    # which can fail on its own (e.g. too many SPOD blocks to enumerate)
     result.gen_vector.save(out, metadata=meta)
-    sidecar = result.sidecar_dict(bound_check=check)
-    sidecar["config"] = meta
-    with open(out.replace(".json", "") + ".cbc.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar_path = out.replace(".json", "") + ".cbc.json"
+    sidecar = dict(result.sidecar_dict(), config=meta)
+    _write_sidecar(sidecar_path, sidecar)
     print(f"constructed {result.d} components (J={result.J}) -> {out}")
+    try:
+        check = verify_bound(result, spec, grid)
+    except ValueError as exc:
+        sidecar["bound_check"] = {"ok": None, "error": str(exc)}
+        raise
+    else:
+        sidecar["bound_check"] = check.to_json_dict()
+    finally:
+        _write_sidecar(sidecar_path, sidecar)
     print(f"final criterion {result.criterion_per_step[-1]:.6e}; bound check "
           f"{'passed' if check.ok else 'FAILED'}")
     if not check.ok:

@@ -5,9 +5,11 @@ The CBC search repeatedly needs, for every candidate polynomial q with
 point indices n = 1..b^m-1, where y^(n)(q) is the classical lattice
 coordinate generated by q.  Indexing rows by n = g^i and columns by
 q = g^k for a generator g of the multiplicative group of Z_b[x]/(P)
-makes the matrix entry a function of (i+k) mod (b^m-1) alone, so every
-candidate's score is one cyclic cross-correlation, computed here with an
-arbitrary-length FFT in O(N log N).
+makes the matrix entry a function of (i+k) mod (b^m-1) alone (Rader's
+permutation).  One stored column c therefore describes the whole matrix:
+every candidate column is a cyclic shift of c, and all candidate scores
+at once are one cyclic cross-correlation with c, computed here as a
+zero-padded power-of-two real FFT in O(N log N).
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell), which is read
@@ -65,20 +67,13 @@ def omega(y: DigitVector, alpha: int) -> float:
     return omega_at_position(y.leading_position(), alpha, y.b)
 
 
-def omega_column(modulus: Modulus, q: GfPoly, alpha: int) -> np.ndarray:
-    """omega of the classical coordinates generated by q, for n = 1..b^m-1.
-
-    Entry n-1 is omega applied to the m-digit value of n(x)q(x)/P(x).
-    """
-    return OmegaMatrix(modulus, alpha).column(q)
-
-
 class OmegaMatrix:
     """Rader-permuted circulant form of the candidate-score matrix.
 
-    Stores one length-(b^m - 1) column plus the permutation between group
-    exponents and the integer encodings of nonzero residues.  Immutable
-    after construction; multiplies are pure.
+    Stores one length-(b^m - 1) column c with c[r] = omega of the residue
+    g^r, the permutation between group exponents and the integer
+    encodings of nonzero residues, and the transform of c used for
+    scoring.  Immutable after construction; multiplies are pure.
     """
 
     def __init__(self, modulus: Modulus, alpha: int):
@@ -93,68 +88,57 @@ class OmegaMatrix:
         M = self.n_points - 1
         self.size = M
 
-        # omega value of every nonzero residue, indexed by integer encoding - 1
-        T = laurent_digit_matrix(modulus)
-        enc = np.arange(1, M + 1, dtype=np.int64)
-        coeffs = np.empty((m, M), dtype=np.int64)
-        tmp = enc.copy()
-        for r in range(m):
-            coeffs[r] = tmp % b
-            tmp //= b
-        digits = (T @ coeffs) % b
-        lead = np.argmax(digits != 0, axis=0) + 1  # residues are nonzero
+        # coefficient columns of g^0..g^(M-1), by doubling: [L, 2L) = g^L [0, L)
+        self.generator = primitive_element(modulus)
+        powers = np.zeros((m, M), dtype=np.int64)
+        powers[0, 0] = 1
+        g_L, L = self.generator, 1
+        while L < M:
+            n = min(L, M - L)
+            powers[:, L : L + n] = (mul_mod_matrix(g_L, modulus) @ powers[:, :n]) % b
+            g_L, L = poly_mul_mod(g_L, g_L, modulus), 2 * L
+        self.pow_enc = b ** np.arange(m, dtype=np.int64) @ powers
+        self.exp_of = np.empty(M + 1, dtype=np.int64)
+        self.exp_of[self.pow_enc] = np.arange(M)
+
+        # circulant column c[r] = omega(g^r), from the leading Laurent digit
+        digits = (laurent_digit_matrix(modulus) @ powers) % b
+        lead = np.argmax(digits != 0, axis=0)  # powers of g are nonzero
         shell_values = np.array(
             [omega_at_position(pos, alpha, b) for pos in range(1, m + 1)]
         )
-        self.value_by_enc = shell_values[lead - 1]
+        self._c = shell_values[lead]
 
-        # permutation: exponent i <-> encoding of g^i
-        self.generator = primitive_element(modulus)
-        pow_enc = np.empty(M, dtype=np.int64)
-        cur = GfPoly.one(b)
-        for i in range(M):
-            pow_enc[i] = cur.to_int()
-            cur = poly_mul_mod(cur, self.generator, modulus)
-        self.pow_enc = pow_enc
-        self.exp_of = np.empty(M + 1, dtype=np.int64)
-        self.exp_of[pow_enc] = np.arange(M)
-
-        # circulant column c[r] = omega(residue g^r) and its transform
-        self._c = self.value_by_enc[pow_enc - 1]
-        self._fft_c = np.fft.fft(self._c)
-
-        # multiplication-by-q residue map reused for columns
-        self._T = T
-        self._n_coeffs = coeffs
-        self._pow_b = b ** np.arange(m, dtype=np.int64)
-
-    def _residue_encodings(self, q: GfPoly) -> np.ndarray:
-        """Encodings of n(x)q(x) mod P for n = 1..b^m-1."""
-        Mq = mul_mod_matrix(q, self.modulus)
-        prod = (Mq @ self._n_coeffs) % self.b
-        return self._pow_b @ prod
+        # zero padding to a power of two >= 2M-1 keeps the correlation linear
+        self.fft_len = 1 << (2 * M - 2).bit_length()
+        self._fft_c = np.fft.rfft(self._c, self.fft_len)
 
     def column(self, q) -> np.ndarray:
-        """omega values of the column for candidate q, indexed by n-1."""
+        """omega values of the column for candidate q, indexed by n-1.
+
+        Entry n-1 is omega(n q mod P) = c[(exp n + exp q) mod (b^m - 1)].
+        """
         if isinstance(q, int):
             q = GfPoly.from_int(self.b, q)
         if q.is_zero() or q.degree >= self.m:
             raise ValueError("candidate must be nonzero of degree < m")
-        return self.value_by_enc[self._residue_encodings(q) - 1]
+        return self._c[(self.exp_of[1:] + self.exp_of[q.to_int()]) % self.size]
 
     def multiply(self, vec: np.ndarray) -> np.ndarray:
         """All candidate scores sum_n omega(y^(n)(q)) vec[n-1] at once.
 
         vec is indexed by point index n = 1..b^m-1; the result is indexed
-        by candidate encoding q = 1..b^m-1 (entry q-1).  One FFT cyclic
+        by candidate encoding q = 1..b^m-1 (entry q-1).  One padded real-FFT
         correlation; agrees with the dense product to ~1e-12 relative.
         """
         M = self.size
         if vec.shape != (M,):
             raise ValueError(f"expected vector of length {M}")
         u = vec[self.pow_enc - 1]  # u[i] = vec at n = g^i
-        u_rev = np.roll(u[::-1], 1)  # u_rev[t] = u[(-t) mod M]
-        w = np.fft.ifft(self._fft_c * np.fft.fft(u_rev)).real
+        # linear correlation lin[t] = sum_i c[i+t] u[i], negative lags at the end
+        lin = np.fft.irfft(self._fft_c * np.conj(np.fft.rfft(u, self.fft_len)), self.fft_len)
+        w = lin[:M]  # w[k] = sum_i c[(i+k) mod M] u[i] = lin[k] + lin[k-M]
+        w[1:] += lin[self.fft_len - M + 1 :]
         out = np.empty(M)
         out[self.pow_enc - 1] = w
         return out
@@ -180,8 +164,3 @@ class OmegaMatrix:
     def score_exact(self, q, vec: np.ndarray) -> float:
         """Direct dot product of one candidate column with vec (tie rescoring)."""
         return float(np.dot(self.column(q), vec))
-
-
-def rader_multiply(matrix: OmegaMatrix, vec: np.ndarray) -> np.ndarray:
-    """Functional alias for :meth:`OmegaMatrix.multiply`."""
-    return matrix.multiply(vec)

@@ -8,6 +8,8 @@ import pytest
 
 from polylat.cbc import (
     CbcResult,
+    NonFiniteScoreError,
+    _argmin_candidate,
     _criterion_from_columns,
     _pure_omega_column,
     default_lambda_grid,
@@ -17,7 +19,7 @@ from polylat.cbc import (
     verify_bound,
 )
 from polylat.gfpoly import GfPoly, find_irreducible
-from polylat.kernel import omega_at_position
+from polylat.kernel import OmegaMatrix, omega_at_position
 from polylat.pointgen import GeneratingVector
 from polylat.weights import DecaySequence, WeightSpec, interlaced_weight, order_weight
 
@@ -287,6 +289,27 @@ class TestVerifyBound:
             assert len(grid) == 10
             assert all(1.0 / alpha < lam <= 1.0 for lam in grid)
             assert grid[-1] == 1.0
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_argmin_rejects_non_finite_scores(self, bad):
+        om = OmegaMatrix(find_irreducible(2, 3), 2)
+        scores = np.arange(1.0, 8.0)
+        scores[3] = bad
+        with pytest.raises(NonFiniteScoreError) as exc:
+            _argmin_candidate(scores, om, np.ones(7), 5, "SPOD")
+        assert isinstance(exc.value, ArithmeticError)
+        assert (exc.value.step, exc.value.regime) == (5, "SPOD")
+        assert "step 5" in str(exc.value) and "1 of 7" in str(exc.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_spod_recursion_names_the_step(self):
+        # beta_j = 3 j^-2 at alpha = 4: the SPOD scoring vector overflows in block 97
+        spec = WeightSpec(alpha=4, b=2, J=0, beta=DecaySequence.power(3.0, 2.0, p=0.6))
+        with pytest.raises(NonFiniteScoreError) as exc:
+            fast_cbc(spec, 6, 150)
+        assert (exc.value.step, exc.value.regime) == (385, "SPOD")
 
 
 class TestCostLog:

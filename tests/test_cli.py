@@ -53,6 +53,22 @@ class TestConstruct:
         assert side["J"] >= 1  # derived and echoed
         assert side["config"]["J"] == side["J"]
 
+    def test_failed_bound_check_keeps_the_vector(self, tmp_path, capsys):
+        # 36 SPOD blocks are too many for the bound enumeration
+        out = tmp_path / "vec.json"
+        argv = [
+            "construct", "--b", "2", "--m", "6", "--alpha", "2", "--s", "40",
+            "--J", "4", "--p", "0.6", "--beta-c", "0.4", "--out", str(out),
+        ]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "too large" in err
+        assert len(json.loads(out.read_text())["q"]) == 80
+        side = json.loads((tmp_path / "vec.cbc.json").read_text())
+        assert len(side["E_per_step"]) == 80
+        assert side["bound_check"]["ok"] is None
+        assert "too large" in side["bound_check"]["error"]
+
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(["construct", "--b", "2", "--alpha", "2", "--s", "2",
                             "--J", "0", "--p", "0.6"], capsys)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from polylat.cbc import _pure_omega_column
 from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, laurent_digits
-from polylat.kernel import OmegaMatrix, mu_alpha, omega, omega_at_position, omega_column, rader_multiply
+from polylat.kernel import OmegaMatrix, mu_alpha, omega, omega_at_position
 from polylat.pointgen import index_to_poly
 
 
@@ -72,26 +73,44 @@ class TestOmega:
 
 
 class TestOmegaColumn:
+    """OmegaMatrix.column against long division and column invariants."""
+
     def test_matches_laurent_composition(self):
         mod = find_irreducible(2, 4)
         q = GfPoly.from_int(2, 9)
-        col = omega_column(mod, q, 2)
+        col = OmegaMatrix(mod, 2).column(q)
         for n in range(1, 16):
             dv = laurent_digits(index_to_poly(n, 2), q, mod, 4)
             assert col[n - 1] == pytest.approx(omega(dv, 2), abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("b,m", [(2, 4), (2, 7), (3, 4), (5, 3)])
+    def test_every_candidate_matches_long_division(self, b, m, alpha):
+        mod = find_irreducible(b, m)
+        om = OmegaMatrix(mod, alpha)
+        for enc in range(1, b**m):
+            q = GfPoly.from_int(b, enc)
+            assert np.array_equal(om.column(q), _pure_omega_column(mod, q, alpha)[1:]), enc
+
+    def test_rejects_zero_and_full_degree(self):
+        om = OmegaMatrix(find_irreducible(3, 3), 2)
+        for q in (0, GfPoly.zero(3), 27, GfPoly.from_int(3, 40)):
+            with pytest.raises(ValueError):
+                om.column(q)
+
     def test_scalar_multiple_is_permutation(self):
         # over Z_3, the columns for q and 2q list the same multiset of values
         mod = find_irreducible(3, 3)
+        om = OmegaMatrix(mod, 2)
         q = GfPoly.from_int(3, 7)
         q2 = GfPoly(3, tuple((2 * c) % 3 for c in q.coeffs))
-        a = sorted(omega_column(mod, q, 2))
-        c = sorted(omega_column(mod, q2, 2))
+        a = sorted(om.column(q))
+        c = sorted(om.column(q2))
         assert np.allclose(a, c)
 
     def test_entries_respect_lower_bound(self):
         mod = find_irreducible(2, 6)
-        col = omega_column(mod, GfPoly.from_int(2, 45), 3)
+        col = OmegaMatrix(mod, 3).column(GfPoly.from_int(2, 45))
         floor_val = omega_at_position(1, 3, 2)
         assert np.all(col >= floor_val - 1e-15)
 
@@ -135,7 +154,7 @@ class TestOmegaMatrix:
         rng = np.random.default_rng(b * 100 + m)
         for _ in range(4):
             vec = rng.standard_normal(om.size)
-            fast = rader_multiply(om, vec)
+            fast = om.multiply(vec)
             ref = om.multiply_naive(vec)
             assert np.max(np.abs(fast - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
