@@ -26,18 +26,13 @@ from .gfpoly import (
 from .pointgen import (
     DigitPoint,
     GeneratingVector,
-    PointSet,
     classical_digit_array,
-    classical_points,
     digits_to_values,
     index_to_poly,
     interlace_digit_array,
     interlace_digits,
-    interlace_points,
-    iter_classical_points,
     lattice_points,
     point_for_index,
-    point_to_floats,
     read_points_digits,
     write_points_csv,
     write_points_digits,

@@ -355,7 +355,7 @@ def poly_mul_mod(a: GfPoly, c: GfPoly, modulus: Modulus) -> GfPoly:
 
 def poly_to_string(p: GfPoly) -> str:
     """Digit-string form, constant term last ("111" = x^2+x+1 over Z_2)."""
-    if p.b > 9:
+    if p.b > 7:
         raise ValueError("digit-string form needs single-character digits (b <= 7)")
     if p.is_zero():
         return "0"

@@ -8,9 +8,12 @@ yielding a higher-order net of b^m points in s = d/alpha dimensions.
 
 Points are kept as exact base-b digit vectors until quadrature time: the
 error kernel needs exact leading-digit positions, and interlacing is a
-digit operation.  Bulk generation exploits that both maps involved are
-Z_b-linear in the coefficient vector of n(x), so a whole point set is a
-couple of small integer matrix products (see gfpoly.laurent_digit_matrix).
+digit operation.  The point set is a digital net: the digits of coordinate
+j are C_j @ (digits of n) over Z_b, with generating matrix C_j = T M_{q_j}
+(gfpoly.laurent_digit_matrix, gfpoly.mul_mod_matrix).  Bulk generation
+builds every C_j from the m matrices T M_{x^k}, which M_q is linear in, and
+then fills the digit cube by b-adic doubling: points t b^r .. (t+1) b^r - 1
+are points 0 .. b^r - 1 plus t times column r of every C_j.
 """
 
 import json
@@ -136,46 +139,37 @@ class DigitPoint:
         return np.array([c.value() for c in self.coords])
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Materialized point set; index n = 0 is always the origin."""
-
-    points: tuple
-    base: int
-    precision: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.points[0].coords)
-
-    def __len__(self):
-        return len(self.points)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([p.values() for p in self.points])
-
-
 # -- bulk digit generation ---------------------------------------------------
+
+# digit rows cast to float64 at a time in digits_to_values (3 MB at L = 24)
+_ROWS_PER_BLOCK = 1 << 14
 
 
 def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     """Digits of the classical point set, shape (N, d, m), dtype uint8.
 
-    out[n, j] holds digits t_1..t_m of coordinate j of point n.
+    out[n, j] holds digits t_1..t_m of coordinate j of point n.  The digit
+    sums of the doubling stay in uint8, which limits the base to b < 128.
     """
     b, m, N = gv.b, gv.m, gv.n_points
-    # base-b digits of every index n, shape (m, N)
-    idx = np.arange(N, dtype=np.int64)
-    n_digits = np.empty((m, N), dtype=np.int64)
-    for r in range(m):
-        n_digits[r] = idx % b
-        idx = idx // b
+    if b >= 128:
+        raise ValueError(f"uint8 digit arithmetic needs b < 128, got b={b}")
     T = laurent_digit_matrix(gv.modulus)
-    out = np.empty((N, gv.d, m), dtype=np.uint8)
-    for j, qj in enumerate(gv.q):
-        M = mul_mod_matrix(qj, gv.modulus)
-        digits = (T @ M % b) @ n_digits % b  # entries < m*b^2, no overflow
-        out[:, j, :] = digits.T
+    basis = np.stack(
+        [T @ mul_mod_matrix(GfPoly(b, (0,) * k + (1,)), gv.modulus) % b for k in range(m)]
+    )
+    coeffs = np.array([qj.coeffs + (0,) * (m - len(qj.coeffs)) for qj in gv.q])
+    C = np.tensordot(coeffs, basis, axes=1) % b  # (d, m, m), C[j] = T M_{q_j}
+    out = np.zeros((N, gv.d, m), dtype=np.uint8)
+    size = 1
+    for r in range(m):  # digit r of n: rows [t b^r, (t+1) b^r) from rows [0, b^r)
+        for t in range(1, b):
+            step = (t * C[:, :, r] % b).astype(np.uint8)  # t*C passes 255 at b = 17
+            dst = out[t * size : (t + 1) * size]
+            # x + c < 2b <= 256, and x + c - b wraps above x + c exactly when x + c < b
+            np.add(out[:size], step, out=dst)
+            np.minimum(dst, dst - np.uint8(b), out=dst)
+        size *= b
     return out
 
 
@@ -190,15 +184,36 @@ def interlace_digit_array(classical: np.ndarray, alpha: int) -> np.ndarray:
         raise ValueError(f"dimension {d} not divisible by alpha={alpha}")
     s = d // alpha
     blocks = classical.reshape(N, s, alpha, m)
-    # position index (a-1)*alpha + (j-1) means digit axis varies slowest
-    return blocks.transpose(0, 1, 3, 2).reshape(N, s, alpha * m)
+    out = np.empty((N, s, alpha * m), dtype=classical.dtype)
+    for j in range(alpha):  # one strided copy per member beats a transposed copy
+        out[:, :, j::alpha] = blocks[:, :, j, :]
+    return out
 
 
 def digits_to_values(digits: np.ndarray, b: int) -> np.ndarray:
-    """Exact digit arrays to floats in [0,1); error at most one ulp."""
+    """Digit arrays (..., L) to floats in [0,1).
+
+    The leading K digits, the most with b^K <= 2^53, give an exact integer
+    numerator n = sum t_k b^(K-k), divided once by b^K, so the value is
+    correctly rounded whenever L = K.  Longer expansions add the value of
+    the remaining digits, scaled by b^-K, which keeps the error within
+    about one ulp.
+    """
     L = digits.shape[-1]
-    weights = b ** -(np.arange(1, L + 1, dtype=np.float64))
-    return digits.astype(np.float64) @ weights
+    K = 1
+    while K < L and b ** (K + 1) <= 2**53:
+        K += 1
+    # every partial sum of t_k b^(K-k) is an integer below b^K <= 2^53, so the
+    # float64 products and sums are exact in any order
+    place = (b ** np.arange(K - 1, -1, -1, dtype=np.int64)).astype(np.float64)
+    rows = digits.reshape(-1, L)
+    num = np.empty(len(rows))
+    for i in range(0, len(rows), _ROWS_PER_BLOCK):
+        num[i : i + _ROWS_PER_BLOCK] = rows[i : i + _ROWS_PER_BLOCK, :K] @ place
+    values = num.reshape(digits.shape[:-1]) / float(b**K)
+    if K < L:
+        values += digits_to_values(digits[..., K:], b) / float(b**K)
+    return values
 
 
 def lattice_points(gv: GeneratingVector) -> np.ndarray:
@@ -206,18 +221,7 @@ def lattice_points(gv: GeneratingVector) -> np.ndarray:
     return digits_to_values(interlace_digit_array(classical_digit_array(gv), gv.alpha), gv.b)
 
 
-# -- object API (exact digit vectors) ----------------------------------------
-
-
-def classical_points(gv: GeneratingVector) -> PointSet:
-    """Classical (non-interlaced) point set as exact digit vectors."""
-    digits = classical_digit_array(gv)
-    b = gv.b
-    pts = tuple(
-        DigitPoint(tuple(DigitVector(b, tuple(digits[n, j])) for j in range(gv.d)))
-        for n in range(gv.n_points)
-    )
-    return PointSet(points=pts, base=b, precision=gv.m)
+# -- exact-digit oracle ----------------------------------------------------
 
 
 def point_for_index(gv: GeneratingVector, n: int) -> DigitPoint:
@@ -230,17 +234,6 @@ def point_for_index(gv: GeneratingVector, n: int) -> DigitPoint:
         truncate_digits(laurent_digits(npoly, qj, gv.modulus, gv.m), gv.m) for qj in gv.q
     )
     return DigitPoint(coords)
-
-
-def iter_classical_points(gv: GeneratingVector):
-    """Stream classical points one index at a time (O(d*m) memory)."""
-    b, m, N = gv.b, gv.m, gv.n_points
-    T = laurent_digit_matrix(gv.modulus)
-    maps = [(T @ mul_mod_matrix(qj, gv.modulus)) % b for qj in gv.q]
-    for n in range(N):
-        nd = np.array((GfPoly.from_int(b, n).coeffs + (0,) * m)[:m], dtype=np.int64)
-        coords = tuple(DigitVector(b, tuple((mp @ nd) % b)) for mp in maps)
-        yield DigitPoint(coords)
 
 
 def interlace_digits(streams, alpha: int) -> DigitVector:
@@ -256,29 +249,6 @@ def interlace_digits(streams, alpha: int) -> DigitVector:
         for a, t in enumerate(s.digits):  # a = 0..m-1 for digit a+1
             out[j + a * alpha] = t
     return DigitVector(b, tuple(out))
-
-
-def interlace_points(ps: PointSet, alpha: int) -> PointSet:
-    """Blockwise interlacing of a point set; alpha = 1 is the identity."""
-    d = ps.dimension
-    if d % alpha != 0:
-        raise ValueError(f"dimension {d} not divisible by alpha={alpha}")
-    s = d // alpha
-    pts = tuple(
-        DigitPoint(
-            tuple(
-                interlace_digits([p.coords[k * alpha + j] for j in range(alpha)], alpha)
-                for k in range(s)
-            )
-        )
-        for p in ps.points
-    )
-    return PointSet(points=pts, base=ps.base, precision=alpha * ps.precision)
-
-
-def point_to_floats(p: DigitPoint) -> np.ndarray:
-    """Coordinate values of one point as floats."""
-    return p.values()
 
 
 # -- file formats -------------------------------------------------------------
@@ -299,13 +269,17 @@ def write_points_digits(path, digits: np.ndarray, b: int):
     A coordinate with digits t_1..t_L is written as the string t_1 t_2 ... t_L
     (most significant fractional digit first).
     """
-    if b > 9:
+    if b > 7:
         raise ValueError("digit format needs single-character digits (b <= 7)")
     n, s, L = digits.shape
-    with open(path, "w") as fh:
-        fh.write(",".join(f"y{j + 1}" for j in range(s)) + "\n")
-        for row in digits:
-            fh.write(",".join("".join(str(int(t)) for t in coord) for coord in row) + "\n")
+    text = np.empty((n, s, L + 1), dtype=np.uint8)
+    text[..., :L] = digits
+    text[..., :L] += ord("0")
+    text[..., L] = ord(",")
+    text[:, -1, L] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(f"y{j + 1}" for j in range(s)) + "\n").encode())
+        fh.write(text.tobytes())
 
 
 def read_points_digits(path, b: int) -> np.ndarray:

@@ -3,21 +3,19 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polylat.gfpoly import DigitVector, GfPoly, find_irreducible
+from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, poly_to_string
 from polylat.pointgen import (
     GeneratingVector,
     classical_digit_array,
-    classical_points,
     digits_to_values,
     index_to_poly,
     interlace_digit_array,
     interlace_digits,
-    interlace_points,
-    iter_classical_points,
     lattice_points,
     point_for_index,
     write_points_csv,
@@ -49,35 +47,37 @@ class TestIndexToPoly:
 class TestClassicalPoints:
     def test_m2_first_coordinate(self):
         gv = make_gv(2, 2, [1])
-        ps = classical_points(gv)
-        assert ps.points[1].coords[0].digits == (0, 1)  # value 1/4
-        assert ps.points[1].coords[0].value() == 0.25
+        assert tuple(classical_digit_array(gv)[1, 0]) == (0, 1)  # value 1/4
+        assert point_for_index(gv, 1).coords[0].value() == 0.25
 
     def test_index_zero_is_origin(self):
         gv = make_gv(2, 3, [1, 5, 7])
-        assert all(c.value() == 0.0 for c in classical_points(gv).points[0].coords)
+        assert not classical_digit_array(gv)[0].any()
+        assert all(c.value() == 0.0 for c in point_for_index(gv, 0).coords)
 
     def test_m1_half(self):
         gv = make_gv(2, 1, [1])
-        assert classical_points(gv).points[1].coords[0].value() == 0.5
+        assert lattice_points(gv)[1, 0] == 0.5
+        assert point_for_index(gv, 1).coords[0].value() == 0.5
 
-    @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (5, 2)])
+    @pytest.mark.parametrize(
+        "b,m", [(2, 4), (3, 3), (5, 2), (7, 2), (11, 2), (17, 2)]
+    )
     def test_bulk_path_matches_per_point_division(self, b, m):
+        # q = b - 1 puts the digit b - 1 in column 0 of its generating matrix, so
+        # the b-adic doubling forms (b - 1)^2: 256 at b = 17, past uint8
         rng = random.Random(17)
-        encs = [rng.randrange(1, b**m) for _ in range(4)]
-        gv = make_gv(b, m, encs, alpha=2)
+        encs = [b - 1] + [rng.randrange(1, b**m) for _ in range(5)]
+        gv = make_gv(b, m, encs, alpha=3)
         arr = classical_digit_array(gv)
         for n in range(gv.n_points):
             pure = point_for_index(gv, n)
             for j in range(gv.d):
                 assert tuple(arr[n, j]) == pure.coords[j].digits
 
-    def test_streaming_matches_bulk(self):
-        gv = make_gv(2, 3, [3, 6])
-        arr = classical_digit_array(gv)
-        for n, p in enumerate(iter_classical_points(gv)):
-            for j in range(gv.d):
-                assert tuple(arr[n, j]) == p.coords[j].digits
+    def test_base_beyond_uint8_digit_sums_rejected(self):
+        with pytest.raises(ValueError, match="b < 128"):
+            classical_digit_array(make_gv(131, 1, [1]))
 
     @pytest.mark.parametrize("b,m", [(2, 5), (2, 10), (3, 5), (5, 3)])
     def test_one_dimensional_projections_uniform(self, b, m):
@@ -121,34 +121,26 @@ class TestInterlacing:
             assert out.digits not in seen
             seen.add(out.digits)
 
-    def test_interlace_points_matches_scalar(self):
-        gv = make_gv(2, 3, [1, 5], alpha=2)
-        ps = classical_points(gv)
-        inter = interlace_points(ps, 2)
-        assert inter.precision == 6
-        for n, p in enumerate(ps.points):
-            want = interlace_digits([p.coords[0], p.coords[1]], 2)
-            assert inter.points[n].coords[0].digits == want.digits
-
-    def test_interlace_points_alpha1_identity(self):
+    def test_alpha1_identity(self):
         gv = make_gv(2, 3, [1, 5])
-        ps = classical_points(gv)
-        same = interlace_points(ps, 1)
-        for a, b_ in zip(ps.points, same.points):
-            assert a == b_
+        arr = classical_digit_array(gv)
+        assert (interlace_digit_array(arr, 1) == arr).all()
 
     def test_array_interlacing_matches_object_path(self):
-        gv = make_gv(3, 2, [1, 4, 2, 7], alpha=2)
-        arr = interlace_digit_array(classical_digit_array(gv), 2)
-        inter = interlace_points(classical_points(gv), 2)
-        for n in range(gv.n_points):
-            for k in range(gv.s):
-                assert tuple(arr[n, k]) == inter.points[n].coords[k].digits
+        for b, m, encs in [(2, 3, [1, 5]), (3, 2, [1, 4, 2, 7])]:
+            gv = make_gv(b, m, encs, alpha=2)
+            arr = interlace_digit_array(classical_digit_array(gv), 2)
+            assert arr.shape == (gv.n_points, gv.s, 2 * m)
+            for n in range(gv.n_points):
+                coords = point_for_index(gv, n).coords
+                for k in range(gv.s):
+                    want = interlace_digits(list(coords[2 * k : 2 * k + 2]), 2)
+                    assert tuple(arr[n, k]) == want.digits
 
     def test_dimension_not_divisible_rejected(self):
         gv = make_gv(2, 3, [1, 5])
         with pytest.raises(ValueError):
-            interlace_points(classical_points(gv), 3)
+            interlace_digit_array(classical_digit_array(gv), 3)
 
 
 class TestFloats:
@@ -163,6 +155,32 @@ class TestFloats:
         grid = vals * 2 ** (gv.alpha * gv.m)
         assert np.allclose(grid, np.round(grid))
         assert np.all((vals >= 0) & (vals < 1))
+
+    @staticmethod
+    def exact_values(digits, b):
+        out = []
+        for row in digits.reshape(-1, digits.shape[-1]):
+            num = 0
+            for t in row:
+                num = num * b + int(t)
+            out.append(float(Fraction(num, b ** len(row))))
+        return np.array(out).reshape(digits.shape[:-1])
+
+    @pytest.mark.parametrize("b,L", [(2, 53), (3, 33), (5, 22), (3, 6)])
+    def test_integer_path_is_correctly_rounded(self, b, L):
+        # b^L <= 2^53: one exact numerator, one rounding
+        rng = np.random.default_rng(b * L)
+        digits = rng.integers(0, b, size=(40, 3, L)).astype(np.uint8)
+        digits[::4, :, : L // 2] = 0  # small values, where a float sum loses most
+        assert (digits_to_values(digits, b) == self.exact_values(digits, b)).all()
+
+    def test_long_expansion_within_one_ulp(self):
+        # b = 5, alpha = 3, m = 8: 5^24 > 2^53
+        rng = np.random.default_rng(24)
+        digits = rng.integers(0, 5, size=(400, 3, 24)).astype(np.uint8)
+        digits[::4, :, :10] = 0
+        want = self.exact_values(digits, 5)
+        assert (np.abs(digits_to_values(digits, 5) - want) <= np.spacing(want)).all()
 
     def test_digits_to_values_horner_agreement(self):
         rng = np.random.default_rng(5)
@@ -209,6 +227,24 @@ class TestGeneratingVectorIO:
         for n in (1, 5):
             got = dlines[n + 1].split(",")[0]
             assert got == "".join(str(t) for t in digits[n, 0])
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_digit_writer_matches_per_character_format(self, tmp_path, b):
+        gv = make_gv(b, 3, [1, 5, 2, 7], alpha=2)
+        digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
+        path = tmp_path / "p.dig"
+        write_points_digits(path, digits, b)
+        want = ",".join(f"y{j + 1}" for j in range(gv.s)) + "\n" + "".join(
+            ",".join("".join(str(int(t)) for t in coord) for coord in row) + "\n"
+            for row in digits
+        )
+        assert path.read_bytes() == want.encode()
+
+    def test_digit_strings_need_single_character_digits(self, tmp_path):
+        with pytest.raises(ValueError, match="b <= 7"):
+            write_points_digits(tmp_path / "p.dig", np.zeros((1, 1, 2), np.uint8), 11)
+        with pytest.raises(ValueError, match="b <= 7"):
+            poly_to_string(GfPoly(11, (1,)))
 
     def test_digit_format_roundtrip(self, tmp_path):
         from polylat.pointgen import read_points_digits
