@@ -126,16 +126,22 @@ class TestInterlacing:
         arr = classical_digit_array(gv)
         assert (interlace_digit_array(arr, 1) == arr).all()
 
+    @staticmethod
+    def check_against_scalar(b, m, encs):
+        gv = make_gv(b, m, encs, alpha=2)
+        arr = interlace_digit_array(classical_digit_array(gv), 2)
+        assert arr.shape == (gv.n_points, gv.s, 2 * m)
+        for n in range(gv.n_points):
+            coords = point_for_index(gv, n).coords
+            for k in range(gv.s):
+                want = interlace_digits(list(coords[2 * k : 2 * k + 2]), 2)
+                assert tuple(arr[n, k]) == want.digits
+
+    def test_interlace_points_matches_scalar(self):
+        self.check_against_scalar(2, 3, [1, 5])
+
     def test_array_interlacing_matches_object_path(self):
-        for b, m, encs in [(2, 3, [1, 5]), (3, 2, [1, 4, 2, 7])]:
-            gv = make_gv(b, m, encs, alpha=2)
-            arr = interlace_digit_array(classical_digit_array(gv), 2)
-            assert arr.shape == (gv.n_points, gv.s, 2 * m)
-            for n in range(gv.n_points):
-                coords = point_for_index(gv, n).coords
-                for k in range(gv.s):
-                    want = interlace_digits(list(coords[2 * k : 2 * k + 2]), 2)
-                    assert tuple(arr[n, k]) == want.digits
+        self.check_against_scalar(3, 2, [1, 4, 2, 7])
 
     def test_dimension_not_divisible_rejected(self):
         gv = make_gv(2, 3, [1, 5])
