@@ -3,7 +3,8 @@
 Runs the full loop (construct, generate, integrate) over a range of N for
 the product-exponential family, comparing interlacing orders 2 and 3 and
 a seeded Monte Carlo baseline, then repeats at a smaller size for the
-rational family whose reference value comes from the cascade quadrature.
+rational family whose reference value comes from a one-dimensional
+Laplace-transform quadrature.
 """
 
 from polylat import (

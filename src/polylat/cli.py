@@ -245,6 +245,11 @@ def _validate(cfg: RunConfig):
         raise UsageError("field 'p': need 0 < p <= 1")
     if cfg.lambda_grid is not None and not cfg.lambda_grid:
         raise UsageError("field 'lambda_grid': grid is empty")
+    if cfg.command == "construct" and cfg.b > 7:
+        raise UsageError(
+            "field 'b': the generating-vector file stores q and P as "
+            "single-character digit strings, so construct needs b <= 7"
+        )
     if cfg.command in ("construct", "bounds") and cfg.m is None:
         raise UsageError("field 'm': required for this command")
     if cfg.command in ("construct", "bounds", "converge") and cfg.s is None:

@@ -114,14 +114,6 @@ def poly_add(a: GfPoly, c: GfPoly) -> GfPoly:
     return GfPoly(a.b, tuple((x + y) % a.b for x, y in zip(ca, cc)))
 
 
-def poly_sub(a: GfPoly, c: GfPoly) -> GfPoly:
-    _check_same_base(a, c)
-    n = max(len(a.coeffs), len(c.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cc = c.coeffs + (0,) * (n - len(c.coeffs))
-    return GfPoly(a.b, tuple((x - y) % a.b for x, y in zip(ca, cc)))
-
-
 def poly_mul(a: GfPoly, c: GfPoly) -> GfPoly:
     """Plain polynomial product in Z_b[x]."""
     _check_same_base(a, c)
@@ -247,13 +239,6 @@ class DigitVector:
         for t in reversed(self.digits):
             v = (v + t) / self.b
         return v
-
-    def as_int(self) -> int:
-        """Numerator of the exact value over b^precision."""
-        n = 0
-        for t in self.digits:
-            n = n * self.b + t
-        return n
 
     def leading_position(self):
         """1-based index of the first nonzero digit, or None if all zero."""

@@ -31,7 +31,6 @@ from .gfpoly import (
     mul_mod_matrix,
     poly_from_string,
     poly_to_string,
-    truncate_digits,
 )
 
 
@@ -230,9 +229,7 @@ def point_for_index(gv: GeneratingVector, n: int) -> DigitPoint:
     Slower than the bulk path; serves as its independent cross-check.
     """
     npoly = index_to_poly(n, gv.b)
-    coords = tuple(
-        truncate_digits(laurent_digits(npoly, qj, gv.modulus, gv.m), gv.m) for qj in gv.q
-    )
+    coords = tuple(laurent_digits(npoly, qj, gv.modulus, gv.m) for qj in gv.q)
     return DigitPoint(coords)
 
 

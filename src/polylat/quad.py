@@ -7,10 +7,9 @@ Two families cover the two weight regimes the constructions target:
   closed-form integral prod (e^{c beta_j}-1)/(c beta_j);
 * rational g(y) = 1/(c0 - sum_j b_j y_j): genuine order-coupled growth
   (|d^nu g| = |nu|! prod b_j^{nu_j} |g|^{|nu|+1} up to scaling), with a
-  reference integral computed by a cascade of one-dimensional
-  Gauss-Legendre quadratures (the integrand depends on each prefix of
-  coordinates only through the running sum, so each integration produces
-  another one-variable profile, interpolated on a Chebyshev grid).
+  reference integral from its Laplace representation 1/a = int_0^inf
+  e^{-a t} dt, under which the cube integral factorises into one
+  one-dimensional Gauss-Legendre quadrature over t.
 
 Quadrature means use exact compensated summation (math.fsum), so results
 are independent of evaluation order.
@@ -20,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev, legendre
+from numpy.polynomial import legendre
 
 from .cbc import fast_cbc
 from .pointgen import lattice_points
@@ -37,7 +36,7 @@ class Integrand:
     family: str
     evaluate: object  # callable (N, s) array -> (N,) array
     exact_integral: float | None = None
-    provenance: str | None = None  # "closed-form" | "tensor-quadrature"
+    provenance: str | None = None  # "closed-form" | "laplace-quadrature"
     params: dict = field(default_factory=dict)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -75,42 +74,30 @@ def product_exponential(beta: DecaySequence, s: int, scale: float = 1.0) -> Inte
     )
 
 
-def _rational_reference(b_head: np.ndarray, c0: float, order: int = 64) -> float:
-    """Integral of 1/(c0 - sum b_j y_j) over the unit cube by a 1-D cascade.
+REFERENCE_NODES = 64  # Gauss-Legendre nodes; the reference is checked against twice as many
 
-    The integrand depends on y_1..y_k only through u = sum_{j<=k} b_j y_j,
-    so integrating out the last variable maps one one-variable profile to
-    another:  f_{k-1}(u) = int_0^1 f_k(u + b_k y) dy.  Each profile is
-    interpolated by Chebyshev fit on its domain [0, sum_{j<=k-1} b_j] and
-    the integral uses Gauss-Legendre nodes; both orders are `order`.
+
+def _rational_reference(b_head: np.ndarray, c0: float, n: int = REFERENCE_NODES) -> float:
+    """Integral of 1/(c0 - sum b_j y_j) over the unit cube by one 1-D quadrature.
+
+    With a = c0 - sum b_j y_j > 0, 1/a = int_0^inf e^{-a t} dt and the cube
+    integral of e^{t sum b_j y_j} factorises, so the integral is
+    int_0^inf e^{-a0 t} prod_j (1 - e^{-b_j t})/(b_j t) dt, a0 = c0 - sum b_j,
+    with a factor of 1 wherever b_j = 0.  It is taken with n Gauss-Legendre
+    nodes after the substitution t = u / ((1 - u) a0), u in [0, 1).
     """
-    s = len(b_head)
-    nodes, weights = legendre.leggauss(order)
-    y01 = 0.5 * (nodes + 1.0)
-    w01 = 0.5 * weights
-
-    def integrate_profile(f, bk):
-        return lambda u: np.tensordot(w01, f(np.add.outer(y01 * bk, u)), axes=1)
-
-    f = lambda t: 1.0 / (c0 - t)  # noqa: E731 - profile seeds the cascade
-    upper = float(np.sum(b_head))
-    for k in range(s, 0, -1):
-        bk = float(b_head[k - 1])
-        upper -= bk
-        g = integrate_profile(f, bk)
-        if k == 1:
-            return float(g(np.array([0.0]))[0])
-        # materialize the new profile on a Chebyshev grid over [0, upper]
-        xs = chebyshev.chebpts1(order + 1)
-        ts = 0.5 * upper * (xs + 1.0)
-        coeffs = chebyshev.chebfit(xs, g(ts), order)
-        f = lambda t, c=coeffs, up=upper: chebyshev.chebval(  # noqa: E731
-            2.0 * t / up - 1.0 if up > 0 else np.zeros_like(t), c
-        )
-    raise AssertionError("unreachable")
+    b = b_head[b_head != 0.0]
+    a0 = c0 - float(np.sum(b))
+    nodes, weights = legendre.leggauss(n)
+    u = 0.5 * (nodes + 1.0)
+    t = u / ((1.0 - u) * a0)
+    bt = np.multiply.outer(b, t)
+    factors = np.prod(-np.expm1(-bt) / bt, axis=0)
+    jacobian = 0.5 * weights / ((1.0 - u) ** 2 * a0)
+    return float(np.sum(jacobian * np.exp(-u / (1.0 - u)) * factors))
 
 
-def _make_rational(b_head: np.ndarray, c0: float, order: int) -> Integrand:
+def _make_rational(b_head: np.ndarray, c0: float) -> Integrand:
     total = float(np.sum(b_head))
     if c0 <= total:
         raise ValueError(f"pole inside cube: need c0 > {total}, got {c0}")
@@ -125,28 +112,29 @@ def _make_rational(b_head: np.ndarray, c0: float, order: int) -> Integrand:
         exact = math.log(c0 / (c0 - b_head[0])) / b_head[0]
         prov = "closed-form"
     else:
-        exact = _rational_reference(b_head, c0, order)
-        check = _rational_reference(b_head, c0, 2 * order)
+        exact = _rational_reference(b_head, c0)
+        check = _rational_reference(b_head, c0, 2 * REFERENCE_NODES)
         if abs(exact - check) > 1e-12 * max(1.0, abs(exact)):
             raise ArithmeticError("reference quadrature did not stabilize")
-        exact, prov = check, "tensor-quadrature"
+        exact, prov = check, "laplace-quadrature"
     return Integrand(
         dimension=s,
         family="rational-spod",
         evaluate=evaluate,
         exact_integral=exact,
         provenance=prov,
-        params={"b_head": tuple(float(v) for v in b_head), "c0": float(c0), "order": order},
+        params={"b_head": tuple(float(v) for v in b_head), "c0": float(c0)},
     )
 
 
-def rational_spod(b_seq: DecaySequence, s: int, c0: float, order: int = 64) -> Integrand:
+def rational_spod(b_seq: DecaySequence, s: int, c0: float) -> Integrand:
     """g(y) = 1/(c0 - sum_j b_j y_j); needs c0 > sum b_j to keep the pole out.
 
-    The reference integral is self-validated by doubling the quadrature
-    order; disagreement beyond 1e-12 of scale raises.
+    The reference integral is a one-dimensional Laplace-transform
+    quadrature, self-validated by doubling its node count; disagreement
+    beyond 1e-12 of scale raises ArithmeticError.
     """
-    return _make_rational(b_seq.head(s), c0, order)
+    return _make_rational(b_seq.head(s), c0)
 
 
 def truncate_integrand(g: Integrand, s_trunc: int, anchor: float = 0.5) -> Integrand:
@@ -155,7 +143,7 @@ def truncate_integrand(g: Integrand, s_trunc: int, anchor: float = 0.5) -> Integ
     The midpoint is the image of the centered parametrization's origin
     under the affine map onto [0,1].  For the built-in families the exact
     integral of the truncated integrand is recomputed in closed form
-    (product-exponential) or by the reference cascade (rational).
+    (product-exponential) or by the reference quadrature (rational).
     """
     if not 1 <= s_trunc <= g.dimension:
         raise ValueError(f"s_trunc must lie in 1..{g.dimension}")
@@ -182,7 +170,7 @@ def truncate_integrand(g: Integrand, s_trunc: int, anchor: float = 0.5) -> Integ
     if g.family == "rational-spod":
         b_all = np.array(g.params["b_head"])
         c0_eff = g.params["c0"] - anchor * float(np.sum(b_all[s_trunc:]))
-        return _make_rational(b_all[:s_trunc], c0_eff, g.params.get("order", 64))
+        return _make_rational(b_all[:s_trunc], c0_eff)
     base = g.evaluate
 
     def evaluate(points):

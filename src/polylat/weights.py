@@ -147,12 +147,6 @@ class WeightSpec:
         if self.J < 0:
             raise ValueError("crossover dimension must be >= 0")
 
-    @classmethod
-    def auto(cls, b: int, J: int, beta: DecaySequence, use_prime_constant: bool = True):
-        """Pick alpha = floor(1/p) + 1 from the sequence's exponent."""
-        _, alpha = select_rate_parameters(beta.p)
-        return cls(alpha=alpha, b=b, J=J, beta=beta, use_prime_constant=use_prime_constant)
-
     def to_json_dict(self) -> dict:
         beta_doc = self.beta.to_json_dict()
         beta_doc.pop("p")

@@ -69,6 +69,18 @@ class TestConstruct:
         assert side["bound_check"]["ok"] is None
         assert "too large" in side["bound_check"]["error"]
 
+    def test_base_without_digit_strings_rejected_before_search(self, tmp_path, capsys):
+        out = tmp_path / "v.json"
+        argv = [
+            "construct", "--b", "11", "--m", "2", "--alpha", "2", "--s", "2",
+            "--J", "2", "--p", "0.6", "--beta-c", "0.4", "--out", str(out),
+        ]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert "field 'b'" in err and "single-character digit strings" in err
+        assert "constructed" not in stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(["construct", "--b", "2", "--alpha", "2", "--s", "2",
                             "--J", "0", "--p", "0.6"], capsys)

@@ -1,4 +1,4 @@
-"""Quadrature oracles: exact integrals, reference cascade, truncation, slopes."""
+"""Quadrature oracles: exact integrals, Laplace-quadrature reference, truncation, slopes."""
 
 import math
 
@@ -13,6 +13,7 @@ from polylat.quad import (
     fit_slope,
     product_exponential,
     qmc_apply,
+    _rational_reference,
     rational_spod,
     truncate_integrand,
 )
@@ -24,6 +25,15 @@ BETA = DecaySequence.power(0.1, 2.0, p=0.55)
 
 def constructed_points(spec, m, s):
     return lattice_points(fast_cbc(spec, m, s).gen_vector)
+
+
+def rational_2d(a, b, c):
+    """Integral of 1/(c - a y1 - b y2) over the unit square in closed form."""
+
+    def G(z):
+        return z * math.log(z) - z
+
+    return (G(c) - G(c - a) - G(c - b) + G(c - a - b)) / (a * b)
 
 
 class TestQmcApply:
@@ -91,19 +101,41 @@ class TestRational:
         assert g.provenance == "closed-form"
         assert g.exact_integral == pytest.approx(math.log(2.0 / 1.5) / 0.5, rel=1e-14)
 
-    def test_cascade_agrees_with_closed_form_in_1d(self):
-        from polylat.quad import _rational_reference
-
-        got = _rational_reference(np.array([0.5]), 2.0, order=48)
+    def test_reference_agrees_with_closed_form_in_1d(self):
+        got = _rational_reference(np.array([0.5]), 2.0, n=48)
         assert got == pytest.approx(math.log(2.0 / 1.5) / 0.5, rel=1e-13)
 
-    def test_stability_under_order_doubling(self):
+    def test_stability_under_node_doubling(self):
         seq = DecaySequence.power(1.0, 3.0, p=0.5)
-        from polylat.quad import _rational_reference
-
-        a = _rational_reference(seq.head(3), 3.0, order=48)
-        c = _rational_reference(seq.head(3), 3.0, order=96)
+        a = _rational_reference(seq.head(3), 3.0, n=48)
+        c = _rational_reference(seq.head(3), 3.0, n=96)
         assert abs(a - c) <= 1e-12 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("a0", [1.0, 0.1, 0.01])
+    def test_two_dimensional_closed_form(self, a0):
+        c0 = a0 + 1.0
+        g = rational_spod(DecaySequence.from_list([0.6, 0.4], p=1.0), 2, c0)
+        assert g.provenance == "laplace-quadrature"
+        assert g.exact_integral == pytest.approx(rational_2d(0.6, 0.4, c0), rel=1e-12)
+
+    def test_spod_heavy_reference_value(self):
+        # the perfbench spod-heavy integrand; value from the earlier
+        # Chebyshev-cascade reference
+        beta = DecaySequence.power(0.4, 2.0, p=0.6)
+        g = rational_spod(beta, 200, 2.0 * max(beta.sum1(), 1.0))
+        assert g.exact_integral == pytest.approx(0.6012014322096407, rel=1e-12)
+
+    def test_zero_tail_entries_drop_out(self):
+        # a list sequence is zero past its values: those coordinates are inert
+        seq = DecaySequence.from_list([0.6, 0.4], p=1.0)
+        padded = rational_spod(seq, 5, 1.5)
+        assert padded.params["b_head"][2:] == (0.0, 0.0, 0.0)
+        assert padded.exact_integral == pytest.approx(rational_2d(0.6, 0.4, 1.5), rel=1e-12)
+
+    def test_unstable_reference_raises(self):
+        # pole 0.001 outside the cube: 64 and 128 nodes disagree
+        with pytest.raises(ArithmeticError, match="did not stabilize"):
+            rational_spod(DecaySequence.from_list([0.6, 0.4], p=1.0), 2, 1.001)
 
     def test_monte_carlo_agreement(self):
         seq = DecaySequence.power(1.0, 3.0, p=0.5)
