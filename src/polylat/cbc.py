@@ -14,6 +14,12 @@ d = alpha(s-1)+t components assembles from per-point running quantities:
       X(l), W assembled per block from U of the previous block,
       criterion = mean_n [S1 + S2 (1 + S1)],  S2 = S2_prev + (V-1) W.
 
+The U update is lazy: U of block s-1 (U(l) += (V-1) X(l), and its sum
+S2_prev) is finished row by row during block s's sweep, just before the
+sweep overwrites X(l) from rows of U it has already finished, so each
+block streams U and X once.  The final block's update would never be
+read and is skipped.
+
 Only the last factor of V depends on the candidate, so the part of the
 criterion that varies with q is a single weighted column sum, computed for
 all candidates at once through the Rader-permuted FFT multiply.  The
@@ -52,7 +58,10 @@ class CostLog:
     step because L depends only on b^m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
-    part of the cost model, the U update the alpha(s-J)N part).
+    part of the cost model, the U update the alpha(s-J)N part).  Block
+    s's U update is applied during block s+1's sweep and recorded then;
+    the final block's update is never read, so it is skipped and has no
+    spod_update_units entry.
     """
 
     n_points: int = 0
@@ -63,12 +72,18 @@ class CostLog:
 
 @dataclass
 class CbcResult:
-    """Outcome of a CBC search: the vector, per-step criterion values, costs."""
+    """Outcome of a CBC search: the vector, per-step criterion values, costs.
+
+    timings: wall-clock seconds by phase.  fast_cbc reports omega_matrix
+    (the kernel table), product and spod_recursion (each regime's
+    recursion, scoring excluded), scoring (FFT multiply, argmin and tie
+    rescoring over all steps) and total; slow_cbc reports only total.
+    """
 
     gen_vector: GeneratingVector
     criterion_per_step: list
     J: int
-    elapsed_ms: int
+    timings: dict
     cost: CostLog
     spec: WeightSpec
 
@@ -84,7 +99,7 @@ class CbcResult:
         doc = {
             "E_per_step": [float(e) for e in self.criterion_per_step],
             "J": self.J,
-            "elapsed_ms": self.elapsed_ms,
+            "timings": dict(self.timings),
         }
         if bound_check is not None:
             doc["bound_check"] = bound_check.to_json_dict()
@@ -139,7 +154,10 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         raise ValueError("need at least one dimension")
     if modulus is None:
         modulus = find_irreducible(b, m)
+    timings = dict.fromkeys(("omega_matrix", "product", "spod_recursion", "scoring"), 0.0)
+    t_phase = time.perf_counter()
     matrix = OmegaMatrix(modulus, alpha)
+    timings["omega_matrix"] = time.perf_counter() - t_phase
     N = matrix.n_points
     omega0 = omega_at_position(None, alpha, b)
     search_unit = matrix.fft_len * (matrix.fft_len.bit_length() - 1)
@@ -152,10 +170,13 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         if not chosen:
             cost.search_units.append(search_unit)
             return GfPoly.one(b)
+        t_score = time.perf_counter()
         vec = weight_full[1:]
         scores = matrix.multiply(vec)
         cost.search_units.append(search_unit)
-        return GfPoly.from_int(b, _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime))
+        enc = _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime)
+        timings["scoring"] += time.perf_counter() - t_score
+        return GfPoly.from_int(b, enc)
 
     def full_column(qpoly: GfPoly) -> np.ndarray:
         col = np.empty(N)
@@ -164,6 +185,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         return col
 
     Y = np.ones(N)
+    t_phase = time.perf_counter()
     for s in range(1, min(J, s_max) + 1):
         G_s = sum(math.factorial(nu) * order_weight(s, nu, spec) for nu in range(1, alpha + 1))
         V = np.ones(N)
@@ -173,46 +195,63 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             V = V * (1.0 + full_column(q))
             e_steps.append(float(np.sum((1.0 + G_s * (V - 1.0)) * Y)) / N - 1.0)
         Y = (1.0 + G_s * (V - 1.0)) * Y
+    timings["product"] = time.perf_counter() - t_phase - timings["scoring"]
 
     S1 = Y - 1.0
     if s_max > J:
+        scored = timings["scoring"]
+        t_phase = time.perf_counter()
+        one_plus_S1 = 1.0 + S1
         L_max = alpha * (s_max - J)
         U = np.zeros((L_max + 1, N))
         U[0] = 1.0
+        X = np.zeros((L_max + 1, N))
+        U_rows, X_rows = list(U), list(X)
+        W = np.empty(N)
         S2_prev = np.zeros(N)
+        vm1 = np.empty(N)
+        row = np.empty(N)
+        L_prev = 0
         for s in range(J + 1, s_max + 1):
             L = alpha * (s - J)
             gval = {nu: order_weight(s, nu, spec) for nu in range(1, alpha + 1)}
-            X = np.zeros((L + 1, N))
-            W = np.zeros(N)
-            assembly = 0
+            if L_prev:
+                S2_prev.fill(0.0)
+                cost.spod_update_units[s - 1] = L_prev * N
+            W.fill(0.0)
+            # one sweep: finish U[ell] of block s-1, then overwrite X[ell] from
+            # finished rows; sums run in ascending ell as separate passes would
             for ell in range(1, L + 1):
-                for nu in range(1, min(alpha, ell) + 1):
-                    X[ell] += gval[nu] * math.perm(ell, nu) * U[ell - nu]
-                    assembly += N
-                W += X[ell]
-            cost.spod_assembly_units[s] = assembly
+                Xr = X_rows[ell]
+                if ell <= L_prev:
+                    Ur = U_rows[ell]
+                    np.multiply(vm1, Xr, out=row)
+                    np.add(Ur, row, out=Ur)
+                    np.add(S2_prev, Ur, out=S2_prev)
+                np.multiply(U_rows[ell - 1], gval[1] * math.perm(ell, 1), out=Xr)
+                for nu in range(2, min(alpha, ell) + 1):
+                    np.multiply(U_rows[ell - nu], gval[nu] * math.perm(ell, nu), out=row)
+                    np.add(Xr, row, out=Xr)
+                np.add(W, Xr, out=W)
+            cost.spod_assembly_units[s] = N * sum(min(alpha, ell) for ell in range(1, L + 1))
             V = np.ones(N)
             for _t in range(alpha):
-                q = select(V * W * (1.0 + S1), "SPOD")
+                q = select(V * W * one_plus_S1, "SPOD")
                 chosen.append(q)
                 V = V * (1.0 + full_column(q))
                 S2 = S2_prev + (V - 1.0) * W
-                e_steps.append(float(np.sum(S1 + S2 * (1.0 + S1))) / N)
-            update = 0
-            for ell in range(1, L + 1):
-                U[ell] += (V - 1.0) * X[ell]
-                update += N
-            cost.spod_update_units[s] = update
-            S2_prev = U[1 : L + 1].sum(axis=0)
+                e_steps.append(float(np.sum(S1 + S2 * one_plus_S1)) / N)
+            np.subtract(V, 1.0, out=vm1)
+            L_prev = L
+        timings["spod_recursion"] = time.perf_counter() - t_phase - (timings["scoring"] - scored)
 
     gv = GeneratingVector(modulus=modulus, alpha=alpha, q=tuple(chosen))
-    elapsed = int(round((time.perf_counter() - t0) * 1000))
+    timings["total"] = time.perf_counter() - t0
     return CbcResult(
         gen_vector=gv,
         criterion_per_step=e_steps,
         J=J,
-        elapsed_ms=elapsed,
+        timings=timings,
         cost=cost,
         spec=spec,
     )
@@ -322,12 +361,11 @@ def slow_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         chosen_cols.append(pure_cols[enc_best])
         e_steps.append(e_best)
     gv = GeneratingVector(modulus=modulus, alpha=alpha, q=tuple(chosen))
-    elapsed = int(round((time.perf_counter() - t0) * 1000))
     return CbcResult(
         gen_vector=gv,
         criterion_per_step=e_steps,
         J=spec.J,
-        elapsed_ms=elapsed,
+        timings={"total": time.perf_counter() - t0},
         cost=CostLog(n_points=N),
         spec=spec,
     )

@@ -251,13 +251,17 @@ def interlace_digits(streams, alpha: int) -> DigitVector:
 # -- file formats -------------------------------------------------------------
 
 
+CSV_CHUNK_ROWS = 64  # rows per write: bounds the Python floats and strings alive at once
+
+
 def write_points_csv(path, values: np.ndarray):
-    """Decimal CSV, one row per point, header y1..ys."""
+    """Decimal CSV, one row per point, header y1..ys; each value is repr(float)."""
     n, s = values.shape
     with open(path, "w") as fh:
         fh.write(",".join(f"y{j + 1}" for j in range(s)) + "\n")
-        for row in values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            rows = values[start : start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_points_digits(path, digits: np.ndarray, b: int):

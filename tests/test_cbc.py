@@ -328,10 +328,22 @@ class TestCostLog:
             target = alpha**2 * (s - spec.J) * N
             assert 0.5 * target <= units <= 2.0 * target
 
+    def test_spod_update_skipped_for_final_block(self):
+        spec = spec_with(J=1)
+        s_max = 5
+        res = fast_cbc(spec, 5, s_max)
+        N = res.gen_vector.n_points
+        assert sorted(res.cost.spod_update_units) == list(range(spec.J + 1, s_max))
+        for s, units in res.cost.spod_update_units.items():
+            assert units == spec.alpha * (s - spec.J) * N
+
     def test_memory_note_fields_exist(self):
         res = fast_cbc(spec_with(J=0), 3, 2)
         assert res.cost.n_points == 8
-        assert res.elapsed_ms >= 0
+        phases = {"omega_matrix", "product", "spod_recursion", "scoring", "total"}
+        assert set(res.timings) == phases
+        assert all(t >= 0.0 for t in res.timings.values())
+        assert sum(t for k, t in res.timings.items() if k != "total") <= res.timings["total"]
 
 
 class TestSidecar:
@@ -340,6 +352,7 @@ class TestSidecar:
         res = fast_cbc(spec, 3, 2)
         check = verify_bound(res, spec)
         doc = res.sidecar_dict(bound_check=check)
-        assert set(doc) == {"E_per_step", "J", "elapsed_ms", "bound_check"}
+        assert set(doc) == {"E_per_step", "J", "timings", "bound_check"}
+        assert doc["timings"] == res.timings
         assert len(doc["E_per_step"]) == res.d
         assert doc["bound_check"]["ok"] is True

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polylat import pointgen
 from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, poly_to_string
 from polylat.pointgen import (
     GeneratingVector,
@@ -233,6 +234,20 @@ class TestGeneratingVectorIO:
         for n in (1, 5):
             got = dlines[n + 1].split(",")[0]
             assert got == "".join(str(t) for t in digits[n, 0])
+
+    def test_csv_writer_matches_per_value_repr(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pointgen, "CSV_CHUNK_ROWS", 3)  # several chunks, one partial
+        rng = np.random.default_rng(7)
+        values = rng.random((8, 5))
+        values[0] = 0.0
+        values[1] = [0.5, 0.25, 0.75, 0.125, 1.0 - 2.0**-53]
+        values[2, :3] = [0.1 + 0.2, 2.0**-40, 1e-300]  # 17-digit and exponent forms
+        path = tmp_path / "p.csv"
+        write_points_csv(path, values)
+        want = "y1,y2,y3,y4,y5\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in values
+        )
+        assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_digit_writer_matches_per_character_format(self, tmp_path, b):
