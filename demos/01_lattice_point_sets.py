@@ -19,8 +19,8 @@ from polylat import (
     laurent_digits,
     lattice_points,
     poly_to_string,
-    truncate_digits,
 )
+from polylat.oracle import truncate_digits
 
 b, m = 2, 4
 mod = find_irreducible(b, m)

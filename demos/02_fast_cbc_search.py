@@ -8,15 +8,8 @@ counters that separate the O(N log N) product regime from the SPOD
 update tail.
 """
 
-from polylat import (
-    DecaySequence,
-    WeightSpec,
-    direct_criterion,
-    fast_cbc,
-    poly_to_string,
-    slow_cbc,
-    verify_bound,
-)
+from polylat import DecaySequence, WeightSpec, fast_cbc, poly_to_string, verify_bound
+from polylat.oracle import direct_criterion, slow_cbc
 
 beta = DecaySequence.power(0.4, 2.0, p=0.6)
 m, s = 4, 3

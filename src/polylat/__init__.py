@@ -21,7 +21,6 @@ from .gfpoly import (
     poly_mul_mod,
     poly_to_string,
     primitive_element,
-    truncate_digits,
 )
 from .pointgen import (
     DigitPoint,
@@ -41,29 +40,24 @@ from .weights import (
     DecaySequence,
     ErrorBudget,
     WeightSpec,
-    block_set,
     bound_constant,
     cbc_bound,
     crossover_dimension,
     error_budget,
     error_constant,
-    hybrid_weight,
-    interlaced_weight,
     order_weight,
     select_rate_parameters,
     smallness_condition,
     truncation_bound,
     wce_constant,
 )
-from .kernel import OmegaMatrix, mu_alpha, omega
+from .kernel import OmegaMatrix
 from .cbc import (
     BoundCheck,
     CbcResult,
     CostLog,
     default_lambda_grid,
-    direct_criterion,
     fast_cbc,
-    slow_cbc,
     verify_bound,
 )
 from .quad import (

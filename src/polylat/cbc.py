@@ -28,9 +28,8 @@ regime (the derivative of the assembled criterion with respect to the new
 factor; scoring the full assembled vector instead would add a spurious
 candidate-dependent term and break agreement with the direct criterion).
 
-slow_cbc runs the same greedy rule against the literal subset-sum
-criterion and is the oracle for fast_cbc; direct_criterion is that
-literal evaluation, costing 2^d and guarded accordingly.
+The oracle for fast_cbc is polylat.oracle.slow_cbc, the same greedy rule
+driven by the literal subset-sum criterion (polylat.oracle.direct_criterion).
 """
 
 import math
@@ -39,14 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfpoly import GfPoly, Modulus, find_irreducible, laurent_digits
-from .kernel import OmegaMatrix, omega, omega_at_position
-from .pointgen import GeneratingVector, index_to_poly
-from .weights import WeightSpec, cbc_bound, hybrid_weight, _block_factor, order_weight
-
-# direct-criterion guard rails: 2^d subsets, table of 2^d x N products
-MAX_DIRECT_DIM = 18
-MAX_DIRECT_CELLS = 1 << 27
+from .gfpoly import GfPoly, Modulus, find_irreducible
+from .kernel import OmegaMatrix, omega_at_position
+from .pointgen import GeneratingVector
+from .weights import WeightSpec, cbc_bound, order_weight
 
 
 @dataclass
@@ -77,7 +72,7 @@ class CbcResult:
     timings: wall-clock seconds by phase.  fast_cbc reports omega_matrix
     (the kernel table), product and spod_recursion (each regime's
     recursion, scoring excluded), scoring (FFT multiply, argmin and tie
-    rescoring over all steps) and total; slow_cbc reports only total.
+    rescoring over all steps) and total; oracle.slow_cbc reports only total.
     """
 
     gen_vector: GeneratingVector
@@ -253,120 +248,6 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         J=J,
         timings=timings,
         cost=cost,
-        spec=spec,
-    )
-
-
-# -- literal criterion (the oracle) -------------------------------------------
-
-
-def _pure_omega_column(modulus: Modulus, q: GfPoly, alpha: int) -> np.ndarray:
-    """omega of the coordinates generated by q, n = 0..b^m-1, by long division.
-
-    Deliberately avoids the circulant machinery: each entry comes straight
-    from the Laurent expansion of n(x)q(x)/P(x).
-    """
-    b, m = modulus.b, modulus.m
-    out = np.empty(b**m)
-    for n in range(b**m):
-        dv = laurent_digits(index_to_poly(n, b), q, modulus, m)
-        out[n] = omega(dv, alpha)
-    return out
-
-
-def _criterion_from_columns(cols, spec: WeightSpec) -> float:
-    """Literal subset sum mean_n sum_{nonempty v} gamma~_v prod_{j in v} omega_j(n).
-
-    Products over subsets are built by a one-bit-at-a-time table; the
-    weight of v is looked up through its block set.
-    """
-    d = len(cols)
-    N = len(cols[0])
-    n_masks = 1 << d
-    if d > MAX_DIRECT_DIM or n_masks * N > MAX_DIRECT_CELLS:
-        raise ValueError(f"direct criterion infeasible for d={d}, N={N}")
-    alpha = spec.alpha
-    K = _block_factor(spec)
-    prods = np.empty((n_masks, N))
-    prods[0] = 1.0
-    block_bit = [1 << (j // alpha) for j in range(d)]
-    u_mask = np.zeros(n_masks, dtype=np.int64)
-    gamma_by_u = {}
-    total = 0.0
-    for mask in range(1, n_masks):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask ^ (1 << low)
-        prods[mask] = prods[prev] * cols[low]
-        um = int(u_mask[prev]) | block_bit[low]
-        u_mask[mask] = um
-        g = gamma_by_u.get(um)
-        if g is None:
-            blocks = [i + 1 for i in range(um.bit_length()) if um >> i & 1]
-            g = K ** len(blocks) * hybrid_weight(blocks, spec)
-            gamma_by_u[um] = g
-        total += g * float(prods[mask].sum())
-    return total / N
-
-
-def direct_criterion(gv: GeneratingVector, spec: WeightSpec, d: int | None = None) -> float:
-    """The search criterion evaluated literally over all 2^d subsets.
-
-    Exponential in d (guard rail at d = 18); this is the reference the
-    fast recursion is tested against.
-    """
-    if d is None:
-        d = gv.d
-    if not 1 <= d <= gv.d:
-        raise ValueError(f"d must lie in 1..{gv.d}")
-    cols = [_pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)]
-    return _criterion_from_columns(cols, spec)
-
-
-def slow_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = None) -> CbcResult:
-    """Reference CBC: greedy argmin of the literal criterion per component.
-
-    Same tie-breaking rule as fast_cbc (smallest candidate encoding).
-    Cost grows like 2^d * b^m per step, so d = alpha*s_max is capped.
-    """
-    t0 = time.perf_counter()
-    b, alpha = spec.b, spec.alpha
-    d_total = alpha * s_max
-    if d_total > 14:
-        raise ValueError(f"slow reference capped at 14 components, asked for {d_total}")
-    if modulus is None:
-        modulus = find_irreducible(b, m)
-    N = b**m
-    pure_cols = {
-        enc: _pure_omega_column(modulus, GfPoly.from_int(b, enc), alpha)
-        for enc in range(1, N)
-    }
-    chosen_cols = []
-    chosen = []
-    e_steps = []
-    for d in range(1, d_total + 1):
-        if d == 1:
-            enc_best = 1
-            e_best = _criterion_from_columns([pure_cols[1]], spec)
-        else:
-            e_best, enc_best = math.inf, None
-            values = {}
-            for enc in range(1, N):
-                values[enc] = _criterion_from_columns(chosen_cols + [pure_cols[enc]], spec)
-                if values[enc] < e_best:
-                    e_best, enc_best = values[enc], enc
-            band = 1e-12 * max(1.0, abs(e_best))
-            enc_best = min(enc for enc, v in values.items() if v <= e_best + band)
-            e_best = values[enc_best]
-        chosen.append(GfPoly.from_int(b, enc_best))
-        chosen_cols.append(pure_cols[enc_best])
-        e_steps.append(e_best)
-    gv = GeneratingVector(modulus=modulus, alpha=alpha, q=tuple(chosen))
-    return CbcResult(
-        gen_vector=gv,
-        criterion_per_step=e_steps,
-        J=spec.J,
-        timings={"total": time.perf_counter() - t0},
-        cost=CostLog(n_points=N),
         spec=spec,
     )
 

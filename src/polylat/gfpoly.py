@@ -4,8 +4,7 @@ Polynomials over the prime field Z_b are the atoms of every polynomial
 lattice construction: point coordinates are truncations of the formal
 Laurent series n(x)q(x)/P(x) in x^{-1}, with P irreducible of degree m.
 This module provides the ring operations, an irreducibility test, the
-deterministic choice of modulus, Laurent digit extraction, and the
-truncation map onto the first m base-b digits.
+deterministic choice of modulus, and Laurent digit extraction.
 
 Everything here is exact integer arithmetic.  Digit vectors are converted
 to floating point only at quadrature time, so leading-digit positions
@@ -277,13 +276,6 @@ def laurent_digits(n_poly: GfPoly, q: GfPoly, modulus: Modulus, precision: int) 
         del rem[m]
         digits.append(t)
     return DigitVector(b, tuple(digits))
-
-
-def truncate_digits(digits: DigitVector, m: int) -> DigitVector:
-    """Keep the first m digits (the map onto the b^{-m} grid in [0,1))."""
-    if digits.precision < m:
-        raise ValueError(f"need at least {m} digits, have {digits.precision}")
-    return DigitVector(digits.b, digits.digits[:m])
 
 
 def _prime_factors(n: int):

@@ -12,39 +12,16 @@ at once are one cyclic cross-correlation with c, computed here as a
 zero-padded power-of-two real FFT in O(N log N).
 
 omega itself depends only on the position of the first nonzero base-b
-digit of its argument (it is constant on each scale shell), which is read
-off exactly from the digit expansion, never from a floating-point log.
+digit of its argument (it is constant on each scale shell).  For a nonzero
+residue a of degree k < m, a(x)/P(x) = x^(k-m) (lead a / lead P) + lower
+powers, so its first nonzero Laurent digit sits at position m - k: the
+column is read off the exact degree of each residue, never from a digit
+expansion or a floating-point log.
 """
 
 import numpy as np
 
-from .gfpoly import (
-    DigitVector,
-    GfPoly,
-    Modulus,
-    laurent_digit_matrix,
-    mul_mod_matrix,
-    poly_mul_mod,
-    primitive_element,
-)
-
-
-def mu_alpha(k: int, alpha: int, b: int) -> int:
-    """Sum of the alpha largest base-b digit positions of k (0 for k = 0).
-
-    Positions count from 1 at the least significant digit.  Saturates once
-    alpha reaches the number of nonzero digits.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    positions = []
-    pos = 1
-    while k:
-        k, r = divmod(k, b)
-        if r:
-            positions.append(pos)
-        pos += 1
-    return sum(sorted(positions, reverse=True)[:alpha])
+from .gfpoly import GfPoly, Modulus, mul_mod_matrix, poly_mul_mod, primitive_element
 
 
 def omega_at_position(position, alpha: int, b: int) -> float:
@@ -58,13 +35,6 @@ def omega_at_position(position, alpha: int, b: int) -> float:
         return base
     scale = float(b) ** (-position * (alpha - 1))
     return base - scale * (float(b) ** alpha - 1.0) / (float(b) ** alpha - b)
-
-
-def omega(y: DigitVector, alpha: int) -> float:
-    """The kernel omega(y) evaluated on an exact digit expansion."""
-    if alpha < 2:
-        raise ValueError("order must be >= 2")
-    return omega_at_position(y.leading_position(), alpha, y.b)
 
 
 class OmegaMatrix:
@@ -101,13 +71,13 @@ class OmegaMatrix:
         self.exp_of = np.empty(M + 1, dtype=np.int64)
         self.exp_of[self.pow_enc] = np.arange(M)
 
-        # circulant column c[r] = omega(g^r), from the leading Laurent digit
-        digits = (laurent_digit_matrix(modulus) @ powers) % b
-        lead = np.argmax(digits != 0, axis=0)  # powers of g are nonzero
+        # circulant column c[r] = omega(g^r): the leading Laurent digit of
+        # g^r / P sits at position m - deg(g^r)
+        deg = np.searchsorted(b ** np.arange(1, m, dtype=np.int64), self.pow_enc, side="right")
         shell_values = np.array(
             [omega_at_position(pos, alpha, b) for pos in range(1, m + 1)]
         )
-        self._c = shell_values[lead]
+        self._c = shell_values[m - 1 - deg]
 
         # zero padding to a power of two >= 2M-1 keeps the correlation linear
         self.fft_len = 1 << (2 * M - 2).bit_length()
@@ -129,7 +99,7 @@ class OmegaMatrix:
 
         vec is indexed by point index n = 1..b^m-1; the result is indexed
         by candidate encoding q = 1..b^m-1 (entry q-1).  One padded real-FFT
-        correlation; agrees with the dense product to ~1e-12 relative.
+        correlation; agrees with oracle.multiply_naive to ~1e-12 relative.
         """
         M = self.size
         if vec.shape != (M,):
@@ -141,24 +111,6 @@ class OmegaMatrix:
         w[1:] += lin[self.fft_len - M + 1 :]
         out = np.empty(M)
         out[self.pow_enc - 1] = w
-        return out
-
-    def multiply_naive(self, vec: np.ndarray) -> np.ndarray:
-        """O(N^2) reference for the same product: per-candidate dot products."""
-        M = self.size
-        if vec.shape != (M,):
-            raise ValueError(f"expected vector of length {M}")
-        out = np.empty(M)
-        for enc in range(1, M + 1):
-            out[enc - 1] = float(np.dot(self.column(enc), vec))
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Full matrix [omega(y^(n)(q))]_{n,q}, for small-size checks only."""
-        M = self.size
-        out = np.empty((M, M))
-        for enc in range(1, M + 1):
-            out[:, enc - 1] = self.column(enc)
         return out
 
     def score_exact(self, q, vec: np.ndarray) -> float:

@@ -13,9 +13,9 @@ total order, never by enumerating order vectors.
 
 Also provided: the digital-net worst-case-error constant C_{alpha,b} (and
 its 2^alpha variant for integrands rescaled from [-1,1] to [0,1]), the
-component weights on interlaced dimensions, the per-step CBC error bound,
-the explicit error constant of the N^{-1/p} rate, the crossover dimension
-from a tail-sum condition, and the dimension-truncation bound.
+per-step CBC error bound, the explicit error constant of the N^{-1/p}
+rate, the crossover dimension from a tail-sum condition, and the
+dimension-truncation bound.
 """
 
 import math
@@ -171,15 +171,6 @@ class WeightSpec:
         )
 
 
-def block_set(v, alpha: int) -> frozenset:
-    """Collapse interlaced component indices to their block indices.
-
-    Component j of the interlaced vector belongs to block ceil(j/alpha);
-    each block appears once however many of its members are present.
-    """
-    return frozenset((j + alpha - 1) // alpha for j in v)
-
-
 def wce_constant(alpha: int, b: int, rescaled: bool = True) -> float:
     """Digital-net worst-case-error constant C_{alpha,b}.
 
@@ -230,51 +221,6 @@ def _product_order_sum(j: int, spec: WeightSpec) -> float:
     """sum_nu nu! 2^{delta(nu,alpha)} beta_j^nu, the product-regime factor."""
     coef = _order_poly(j, spec)
     return float(sum(_fact(nu) * coef[nu] for nu in range(1, spec.alpha + 1)))
-
-
-def _spod_order_sum(indices, spec: WeightSpec) -> float:
-    """sum over nu in {1..alpha}^u of |nu|! prod 2^delta beta^nu for u = indices.
-
-    Convolution over coordinates of the per-coordinate order polynomials,
-    then a factorial-weighted sum over the total order.
-    """
-    poly = np.array([1.0])
-    for j in indices:
-        poly = np.convolve(poly, _order_poly(j, spec))
-    return float(sum(_fact(ell) * poly[ell] for ell in range(len(indices), len(poly))))
-
-
-def hybrid_weight(u, spec: WeightSpec) -> float:
-    """gamma_u for a block set u, with gamma_empty = 1.
-
-    Exact factorization: product factors on u within {1..J}, one SPOD
-    order sum on the rest.  J = 0 gives pure SPOD weights, J >= max(u)
-    pure product weights.
-    """
-    u = sorted(set(u))
-    if any(j < 1 for j in u):
-        raise ValueError("block indices are 1-based")
-    prod_part = 1.0
-    spod_idx = []
-    for j in u:
-        if j <= spec.J:
-            prod_part *= _product_order_sum(j, spec)
-        else:
-            spod_idx.append(j)
-    spod_part = _spod_order_sum(spod_idx, spec) if spod_idx else 1.0
-    return prod_part * spod_part
-
-
-def interlaced_weight(v, spec: WeightSpec) -> float:
-    """Weight of a set of interlaced component indices.
-
-    Depends on v only through its block set u(v):
-    (C'_{alpha,b})^{|u|} gamma_u b^{alpha(alpha-1)|u|/2}.
-    """
-    u = block_set(v, spec.alpha)
-    if not u:
-        return 1.0
-    return _block_factor(spec) ** len(u) * hybrid_weight(u, spec)
 
 
 def select_rate_parameters(p: float):

@@ -10,18 +10,15 @@ from polylat.cbc import (
     CbcResult,
     NonFiniteScoreError,
     _argmin_candidate,
-    _criterion_from_columns,
-    _pure_omega_column,
     default_lambda_grid,
-    direct_criterion,
     fast_cbc,
-    slow_cbc,
     verify_bound,
 )
 from polylat.gfpoly import GfPoly, find_irreducible
 from polylat.kernel import OmegaMatrix, omega_at_position
+from polylat.oracle import direct_criterion, interlaced_weight, pure_omega_column, slow_cbc
 from polylat.pointgen import GeneratingVector
-from polylat.weights import DecaySequence, WeightSpec, interlaced_weight, order_weight
+from polylat.weights import DecaySequence, WeightSpec, order_weight
 
 BETA = DecaySequence.power(0.4, 2.0, p=0.6)
 
@@ -40,7 +37,7 @@ def make_gv(b, m, encs, alpha):
 
 def criterion_combinations_order(gv, spec, d):
     """Second literal evaluation, iterating subsets in combinations order."""
-    cols = [_pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)]
+    cols = [pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)]
     total = 0.0
     for size in range(1, d + 1):
         for v in itertools.combinations(range(1, d + 1), size):
@@ -61,7 +58,7 @@ class TestDirectCriterion:
     def test_single_component_formula(self):
         spec = spec_with(J=1)
         gv = make_gv(2, 3, [1, 1], 2)
-        col = _pure_omega_column(gv.modulus, gv.q[0], spec.alpha)
+        col = pure_omega_column(gv.modulus, gv.q[0], spec.alpha)
         want = interlaced_weight({1}, spec) * float(col.mean())
         assert direct_criterion(gv, spec, d=1) == pytest.approx(want, rel=1e-13)
 
@@ -184,7 +181,7 @@ class TestRecursionIdentities:
         res = fast_cbc(spec, 3, 3)
         gv = res.gen_vector
         alpha = spec.alpha
-        cols = [_pure_omega_column(gv.modulus, q, alpha) for q in gv.q]
+        cols = [pure_omega_column(gv.modulus, q, alpha) for q in gv.q]
         N = gv.n_points
         for s in range(1, 4):
             G_s = sum(

@@ -1,10 +1,16 @@
 """CLI behavior: subcommands, config precedence, exit codes, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from polylat.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -32,6 +38,15 @@ class TestConstruct:
         assert side["J"] == 1
         assert side["bound_check"]["ok"] is True
         assert side["config"]["m"] == 4
+
+    def test_sidecar_name_strips_only_the_trailing_json(self, tmp_path, capsys):
+        (tmp_path / "a.json.d").mkdir()
+        out = tmp_path / "a.json.d" / "v.json"
+        code, _, _ = run(CONSTRUCT + ["--out", str(out)], capsys)
+        assert code == 0
+        side = json.loads((tmp_path / "a.json.d" / "v.cbc.json").read_text())
+        assert len(side["E_per_step"]) == 6
+        assert side["bound_check"]["ok"] is True
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "vec.json"
@@ -235,6 +250,25 @@ class TestSelftest:
         assert doc["ok"] is False
         failing = [c for c in doc["checks"] if not c["ok"]]
         assert failing and all("direct-criterion" in c["name"] for c in failing)
+
+
+def test_production_modules_do_not_load_the_oracle():
+    # a fresh interpreter, so no other test has imported polylat.oracle yet
+    script = (
+        "import importlib, pkgutil, sys, polylat\n"
+        "names = [m.name for m in pkgutil.iter_modules(polylat.__path__) if m.name != 'oracle']\n"
+        "for name in names:\n"
+        "    importlib.import_module('polylat.' + name)\n"
+        "print(' '.join(sorted(names)), 'polylat.oracle' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    *names, loaded = proc.stdout.split()
+    assert {"cbc", "cli", "gfpoly", "kernel", "pointgen", "quad", "weights"} <= set(names)
+    assert loaded == "False"
 
 
 class TestConfigHandling:

@@ -19,8 +19,8 @@ from polylat.gfpoly import (
     poly_mul_mod,
     poly_to_string,
     primitive_element,
-    truncate_digits,
 )
+from polylat.oracle import truncate_digits
 
 
 def P(b, *coeffs):

@@ -3,10 +3,33 @@
 import numpy as np
 import pytest
 
-from polylat.cbc import _pure_omega_column
-from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, laurent_digits
-from polylat.kernel import OmegaMatrix, mu_alpha, omega, omega_at_position
+from polylat.gfpoly import (
+    DigitVector,
+    GfPoly,
+    Modulus,
+    find_irreducible,
+    is_irreducible,
+    laurent_digits,
+)
+from polylat.kernel import OmegaMatrix, omega_at_position
+from polylat.oracle import mu_alpha, multiply_naive, omega, pure_omega_column
 from polylat.pointgen import index_to_poly
+
+
+def random_modulus(b, m, seed):
+    """Seeded uniform monic irreducible of degree m other than the smallest."""
+    rng = np.random.default_rng(seed)
+    while True:
+        cand = GfPoly.from_int(b, int(rng.integers(b**m)) + b**m)
+        if is_irreducible(cand) and cand != find_irreducible(b, m).poly:
+            return Modulus(cand)
+
+
+# (b, m, seed): seed None is the smallest modulus, as find_irreducible picks
+# it; a seed draws a random one, as the benchmark workloads do
+COLUMN_MODULI = [(2, 4, None), (2, 7, None), (3, 4, None), (5, 3, None)]
+COLUMN_MODULI += [(2, 7, 0), (2, 7, 2), (3, 5, 0)]
+COLUMN_IDS = [f"{b}-{m}" + ("" if seed is None else f"-seed{seed}") for b, m, seed in COLUMN_MODULI]
 
 
 class TestMuAlpha:
@@ -84,13 +107,13 @@ class TestOmegaColumn:
             assert col[n - 1] == pytest.approx(omega(dv, 2), abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [2, 3])
-    @pytest.mark.parametrize("b,m", [(2, 4), (2, 7), (3, 4), (5, 3)])
-    def test_every_candidate_matches_long_division(self, b, m, alpha):
-        mod = find_irreducible(b, m)
+    @pytest.mark.parametrize("b,m,seed", COLUMN_MODULI, ids=COLUMN_IDS)
+    def test_every_candidate_matches_long_division(self, b, m, seed, alpha):
+        mod = find_irreducible(b, m) if seed is None else random_modulus(b, m, seed)
         om = OmegaMatrix(mod, alpha)
         for enc in range(1, b**m):
             q = GfPoly.from_int(b, enc)
-            assert np.array_equal(om.column(q), _pure_omega_column(mod, q, alpha)[1:]), enc
+            assert np.array_equal(om.column(q), pure_omega_column(mod, q, alpha)[1:]), enc
 
     def test_rejects_zero_and_full_degree(self):
         om = OmegaMatrix(find_irreducible(3, 3), 2)
@@ -124,13 +147,12 @@ class TestOmegaMatrix:
     @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (2, 8)])
     def test_circulant_under_permutation(self, b, m):
         om = OmegaMatrix(find_irreducible(b, m), 2)
-        dense = om.dense()
         M = om.size
         for i in range(0, M, max(1, M // 17)):
             for k in range(0, M, max(1, M // 13)):
                 n_enc = om.pow_enc[i]
                 q_enc = om.pow_enc[k]
-                assert dense[n_enc - 1, q_enc - 1] == pytest.approx(
+                assert om.column(int(q_enc))[n_enc - 1] == pytest.approx(
                     om._c[(i + k) % M], abs=1e-15
                 )
 
@@ -141,12 +163,11 @@ class TestOmegaMatrix:
 
     def test_multiply_unit_vector_reads_row(self):
         om = OmegaMatrix(find_irreducible(2, 5), 2)
-        dense = om.dense()
         for n in (1, 7, 30):
             vec = np.zeros(om.size)
             vec[n - 1] = 1.0
             out = om.multiply(vec)
-            assert np.allclose(out, dense[n - 1, :], atol=1e-12)
+            assert np.allclose(out, multiply_naive(om, vec), atol=1e-12)
 
     @pytest.mark.parametrize("b,m", [(2, 4), (2, 7), (3, 4), (5, 3)])
     def test_multiply_matches_naive(self, b, m):
@@ -155,11 +176,11 @@ class TestOmegaMatrix:
         for _ in range(4):
             vec = rng.standard_normal(om.size)
             fast = om.multiply(vec)
-            ref = om.multiply_naive(vec)
+            ref = multiply_naive(om, vec)
             assert np.max(np.abs(fast - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
     def test_column_orientation_symmetric(self):
         # entry(n, q) = omega(residue of n*q) is symmetric in (n, q)
         om = OmegaMatrix(find_irreducible(2, 5), 3)
-        dense = om.dense()
+        dense = np.column_stack([om.column(q) for q in range(1, om.size + 1)])
         assert np.allclose(dense, dense.T, atol=1e-15)

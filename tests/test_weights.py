@@ -11,20 +11,18 @@ import pytest
 from polylat.weights import (
     DecaySequence,
     WeightSpec,
-    block_set,
     bound_constant,
     cbc_bound,
     crossover_dimension,
     error_budget,
     error_constant,
-    hybrid_weight,
-    interlaced_weight,
     order_weight,
     select_rate_parameters,
     smallness_condition,
     truncation_bound,
     wce_constant,
 )
+from polylat.oracle import block_set, hybrid_weight, interlaced_weight
 
 BETA = DecaySequence.power(0.4, 2.0, p=0.6)
 
