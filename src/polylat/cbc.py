@@ -48,19 +48,24 @@ from .weights import WeightSpec, cbc_bound, order_weight
 class CostLog:
     """Operation-count bookkeeping for the cost-model checks.
 
-    search_units: per component step, the FFT-scoring work L*log2(L) for
-    the padded transform length L the kernel actually uses; constant per
-    step because L depends only on b^m.
+    search_units: per component step, the FFT-scoring work L*floor(log2 L)
+    for the padded transform length L = 2b^m the kernel actually uses;
+    constant per step because L depends only on b^m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
     part of the cost model, the U update the alpha(s-J)N part).  Block
     s's U update is applied during block s+1's sweep and recorded then;
     the final block's update is never read, so it is skipped and has no
     spod_update_units entry.
+    rescored: per scored step (steps 2..d; step 1 is fixed to q = 1), the
+    number of candidates rescored exactly because their FFT scores lay
+    within the near-tie band of the minimum, or 0 when the FFT argmin was
+    unique.
     """
 
     n_points: int = 0
     search_units: list = field(default_factory=list)
+    rescored: list = field(default_factory=list)
     spod_assembly_units: dict = field(default_factory=dict)
     spod_update_units: dict = field(default_factory=dict)
 
@@ -115,11 +120,13 @@ class NonFiniteScoreError(ArithmeticError):
 
 def _argmin_candidate(
     scores: np.ndarray, matrix: OmegaMatrix, vec: np.ndarray, step: int, regime: str
-) -> int:
+) -> tuple[int, int]:
     """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
 
-    Raises NonFiniteScoreError when any score is inf or NaN: an overflowed
-    scoring vector leaves no trustworthy ordering of the candidates.
+    Returns (encoding, number of candidates rescored exactly; 0 when the
+    FFT argmin is unique).  Raises NonFiniteScoreError when any score is
+    inf or NaN: an overflowed scoring vector leaves no trustworthy ordering
+    of the candidates.
     """
     finite = np.isfinite(scores)
     if not finite.all():
@@ -128,11 +135,11 @@ def _argmin_candidate(
     band = 1e-9 * max(1.0, abs(best))
     cands = np.flatnonzero(scores <= best + band)
     if len(cands) == 1:
-        return int(cands[0]) + 1
+        return int(cands[0]) + 1, 0
     exact = np.array([matrix.score_exact(int(e) + 1, vec) for e in cands])
     ebest = float(exact.min())
     eband = 1e-12 * max(1.0, abs(ebest))
-    return int(cands[exact <= ebest + eband].min()) + 1
+    return int(cands[exact <= ebest + eband].min()) + 1, len(cands)
 
 
 def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = None) -> CbcResult:
@@ -169,7 +176,8 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         vec = weight_full[1:]
         scores = matrix.multiply(vec)
         cost.search_units.append(search_unit)
-        enc = _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime)
+        enc, n_rescored = _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime)
+        cost.rescored.append(n_rescored)
         timings["scoring"] += time.perf_counter() - t_score
         return GfPoly.from_int(b, enc)
 

@@ -8,8 +8,10 @@ q = g^k for a generator g of the multiplicative group of Z_b[x]/(P)
 makes the matrix entry a function of (i+k) mod (b^m-1) alone (Rader's
 permutation).  One stored column c therefore describes the whole matrix:
 every candidate column is a cyclic shift of c, and all candidate scores
-at once are one cyclic cross-correlation with c, computed here as a
-zero-padded power-of-two real FFT in O(N log N).
+at once are one cyclic cross-correlation with c, computed here as a real
+FFT zero-padded to 2·b^m (at least the 2(b^m-1)-1 a linear correlation
+needs) in O(N log N).  Exact rescoring of one candidate reads its column
+as a contiguous window of c stored twice, so no index is reduced mod b^m-1.
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell).  For a nonzero
@@ -18,6 +20,8 @@ powers, so its first nonzero Laurent digit sits at position m - k: the
 column is read off the exact degree of each residue, never from a digit
 expansion or a floating-point log.
 """
+
+import operator
 
 import numpy as np
 
@@ -41,9 +45,11 @@ class OmegaMatrix:
     """Rader-permuted circulant form of the candidate-score matrix.
 
     Stores one length-(b^m - 1) column c with c[r] = omega of the residue
-    g^r, the permutation between group exponents and the integer
-    encodings of nonzero residues, and the transform of c used for
-    scoring.  Immutable after construction; multiplies are pure.
+    g^r (also doubled, so every cyclic shift is a slice), the permutation
+    between group exponents and the integer encodings of nonzero residues
+    (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
+    exp_of[0] = -1, since zero has no discrete log), and the transform of c
+    used for scoring.  Immutable after construction; multiplies are pure.
     """
 
     def __init__(self, modulus: Modulus, alpha: int):
@@ -68,7 +74,7 @@ class OmegaMatrix:
             powers[:, L : L + n] = (mul_mod_matrix(g_L, modulus) @ powers[:, :n]) % b
             g_L, L = poly_mul_mod(g_L, g_L, modulus), 2 * L
         self.pow_enc = b ** np.arange(m, dtype=np.int64) @ powers
-        self.exp_of = np.empty(M + 1, dtype=np.int64)
+        self.exp_of = np.full(M + 1, -1, dtype=np.int64)  # -1: zero has no log
         self.exp_of[self.pow_enc] = np.arange(M)
 
         # circulant column c[r] = omega(g^r): the leading Laurent digit of
@@ -77,22 +83,31 @@ class OmegaMatrix:
         shell_values = np.array(
             [omega_at_position(pos, alpha, b) for pos in range(1, m + 1)]
         )
-        self._c = shell_values[m - 1 - deg]
+        c = shell_values[m - 1 - deg]
+        self._c2 = np.concatenate([c, c])
+        self._c = self._c2[:M]
 
-        # zero padding to a power of two >= 2M-1 keeps the correlation linear
-        self.fft_len = 1 << (2 * M - 2).bit_length()
+        # zero padding to 2b^m = 2M+2 >= 2M-1 keeps the correlation linear
+        self.fft_len = 2 * self.n_points
         self._fft_c = np.fft.rfft(self._c, self.fft_len)
 
     def column(self, q) -> np.ndarray:
         """omega values of the column for candidate q, indexed by n-1.
 
-        Entry n-1 is omega(n q mod P) = c[(exp n + exp q) mod (b^m - 1)].
+        q is an integer encoding (int or numpy integer) or a GfPoly.  Entry
+        n-1 is omega(n q mod P) = c[(exp n + exp q) mod (b^m - 1)], read as
+        the window c2[exp q : exp q + b^m - 1] of the doubled column at
+        exp n: one slice and one gather, no modulo.
         """
-        if isinstance(q, int):
-            q = GfPoly.from_int(self.b, q)
-        if q.is_zero() or q.degree >= self.m:
+        if isinstance(q, GfPoly):
+            if q.b != self.b:
+                raise ValueError(f"candidate over Z_{q.b}, matrix over Z_{self.b}")
+            q = q.to_int()
+        enc = operator.index(q)
+        if not 0 < enc <= self.size:
             raise ValueError("candidate must be nonzero of degree < m")
-        return self._c[(self.exp_of[1:] + self.exp_of[q.to_int()]) % self.size]
+        e = self.exp_of[enc]
+        return self._c2[e : e + self.size][self.exp_of[1:]]
 
     def multiply(self, vec: np.ndarray) -> np.ndarray:
         """All candidate scores sum_n omega(y^(n)(q)) vec[n-1] at once.

@@ -16,7 +16,13 @@ from polylat.cbc import (
 )
 from polylat.gfpoly import GfPoly, find_irreducible
 from polylat.kernel import OmegaMatrix, omega_at_position
-from polylat.oracle import direct_criterion, interlaced_weight, pure_omega_column, slow_cbc
+from polylat.oracle import (
+    criterion_from_columns,
+    direct_criterion,
+    interlaced_weight,
+    pure_omega_column,
+    slow_cbc,
+)
 from polylat.pointgen import GeneratingVector
 from polylat.weights import DecaySequence, WeightSpec, order_weight
 
@@ -25,6 +31,29 @@ BETA = DecaySequence.power(0.4, 2.0, p=0.6)
 
 def spec_with(alpha=2, J=1, beta=BETA, b=2):
     return WeightSpec(alpha=alpha, b=b, J=J, beta=beta)
+
+
+def random_cases(n_cases, seed):
+    """Seeded (b, m, alpha, s, J, betas, p) draws for the fast-vs-slow check.
+
+    b^m <= 81 and alpha*s <= 6 keep slow_cbc (one long division per
+    candidate, 2^d subsets per criterion) to a fraction of a second a case.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n_cases):
+        b = int(rng.choice([2, 3, 5]))
+        m = int(rng.integers(1, max(mm for mm in range(1, 5) if b**mm <= 81) + 1))
+        alpha = int(rng.integers(2, 4))
+        s = int(rng.integers(1, 6 // alpha + 1))
+        J = int(rng.integers(0, s + 1))
+        betas = tuple(float(v) for v in rng.uniform(0.05, 1.0, size=s))
+        p = float(rng.uniform(0.5, 1.0))
+        cases.append((b, m, alpha, s, J, betas, p))
+    return cases
+
+
+RANDOM_CASES = random_cases(24, seed=2014)
 
 
 def make_gv(b, m, encs, alpha):
@@ -170,6 +199,23 @@ class TestFastVsSlow:
         assert verify_bound(fast, spec).ok
         rescaled = fast_cbc(spec_with(J=1), 3, 2)
         assert fast.criterion_per_step[0] < rescaled.criterion_per_step[0]
+
+
+class TestFastVsSlowRandom:
+    """Seeded differential check over bases, orders, crossovers and weights."""
+
+    @pytest.mark.parametrize(
+        "b,m,alpha,s,J,betas,p",
+        RANDOM_CASES,
+        ids=[f"{i}-b{c[0]}-m{c[1]}-a{c[2]}-s{c[3]}-J{c[4]}" for i, c in enumerate(RANDOM_CASES)],
+    )
+    def test_vectors_and_criteria_match_slow_cbc(self, b, m, alpha, s, J, betas, p):
+        spec = WeightSpec(alpha=alpha, b=b, J=J, beta=DecaySequence.from_list(betas, p=p))
+        fast = fast_cbc(spec, m, s)
+        slow = slow_cbc(spec, m, s)
+        assert [q.to_int() for q in fast.gen_vector.q] == [q.to_int() for q in slow.gen_vector.q]
+        for a, c in zip(fast.criterion_per_step, slow.criterion_per_step, strict=True):
+            assert a == pytest.approx(c, rel=1e-9)
 
 
 class TestRecursionIdentities:
@@ -341,6 +387,34 @@ class TestCostLog:
         assert set(res.timings) == phases
         assert all(t >= 0.0 for t in res.timings.values())
         assert sum(t for k, t in res.timings.items() if k != "total") <= res.timings["total"]
+
+
+class TestRescoredCount:
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 3)])
+    def test_counts_the_exact_ties_of_each_step(self, b, m):
+        # the literal criterion of every candidate at every step tells which
+        # steps have an exact tie and which a clear unique minimum
+        spec = spec_with(J=1, b=b)
+        res = fast_cbc(spec, m, 3)
+        assert len(res.cost.rescored) == res.d - 1
+        q = [x.to_int() for x in res.gen_vector.q]
+        cols = {e: pure_omega_column(res.gen_vector.modulus, GfPoly.from_int(b, e), 2)
+                for e in range(1, b**m)}
+        unique_steps = 0
+        for k, rescored in enumerate(res.cost.rescored, start=1):
+            chosen = [cols[e] for e in q[:k]]
+            vals = np.sort([criterion_from_columns(chosen + [c], spec) for c in cols.values()])
+            n_ties = int(np.count_nonzero(vals <= vals[0] + 1e-12 * abs(vals[0])))
+            if n_ties > 1:
+                assert rescored >= n_ties, k + 1
+            elif vals[1] - vals[0] > 1e-6 * abs(vals[0]):
+                assert rescored == 0, k + 1
+                unique_steps += 1
+        if b == 2:
+            assert unique_steps > 0
+        else:
+            # q and 2q always score alike over Z_3, so step 2 rescores a tie
+            assert res.cost.rescored[0] > 1
 
 
 class TestSidecar:

@@ -117,9 +117,19 @@ class TestOmegaColumn:
 
     def test_rejects_zero_and_full_degree(self):
         om = OmegaMatrix(find_irreducible(3, 3), 2)
-        for q in (0, GfPoly.zero(3), 27, GfPoly.from_int(3, 40)):
+        # GfPoly 40 has degree 3 = m; GfPoly.from_int(2, 3) is over Z_2
+        for q in (0, -1, GfPoly.zero(3), 27, np.int64(27), GfPoly.from_int(3, 40),
+                  GfPoly.from_int(2, 3)):
             with pytest.raises(ValueError):
                 om.column(q)
+
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 3), (5, 2)])
+    def test_int_numpy_int_and_poly_give_the_same_column(self, b, m):
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        for enc in range(1, b**m):
+            col = om.column(enc)
+            assert col.tobytes() == om.column(np.int64(enc)).tobytes()
+            assert col.tobytes() == om.column(GfPoly.from_int(b, enc)).tobytes()
 
     def test_scalar_multiple_is_permutation(self):
         # over Z_3, the columns for q and 2q list the same multiset of values
@@ -143,6 +153,10 @@ class TestOmegaMatrix:
     def test_exponent_map_is_bijection(self, b, m):
         om = OmegaMatrix(find_irreducible(b, m), 2)
         assert sorted(om.pow_enc.tolist()) == list(range(1, b**m))
+        # zero has no discrete log; every nonzero residue has exactly one
+        assert om.exp_of[0] == -1
+        assert sorted(om.exp_of[1:].tolist()) == list(range(om.size))
+        assert np.array_equal(om.exp_of[om.pow_enc], np.arange(om.size))
 
     @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (2, 8)])
     def test_circulant_under_permutation(self, b, m):
@@ -169,9 +183,12 @@ class TestOmegaMatrix:
             out = om.multiply(vec)
             assert np.allclose(out, multiply_naive(om, vec), atol=1e-12)
 
-    @pytest.mark.parametrize("b,m", [(2, 4), (2, 7), (3, 4), (5, 3)])
+    @pytest.mark.parametrize(
+        "b,m", [(2, 1), (2, 4), (2, 7), (3, 1), (3, 4), (5, 3), (7, 2), (11, 2), (13, 2)]
+    )
     def test_multiply_matches_naive(self, b, m):
         om = OmegaMatrix(find_irreducible(b, m), 2)
+        assert om.fft_len == 2 * b**m
         rng = np.random.default_rng(b * 100 + m)
         for _ in range(4):
             vec = rng.standard_normal(om.size)
