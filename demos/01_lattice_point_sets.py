@@ -13,6 +13,7 @@ from polylat import (
     GeneratingVector,
     GfPoly,
     classical_digit_array,
+    digit_chunks,
     find_irreducible,
     interlace_digit_array,
     digits_to_values,
@@ -57,5 +58,7 @@ print(f"\ninterlaced points live on the 2^{gv.alpha * m} grid; first four points
 for row in points[:4]:
     print(f"  ({row[0]:.8f}, {row[1]:.8f})")
 
+# the interlaced net has its own generating matrices: no classical digits needed
+assert (np.concatenate(list(digit_chunks(gv))) == interlaced).all()
 assert np.allclose(points, lattice_points(gv))
 print("bulk generator agrees with the step-by-step pipeline")

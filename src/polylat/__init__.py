@@ -26,10 +26,12 @@ from .pointgen import (
     DigitPoint,
     GeneratingVector,
     classical_digit_array,
+    digit_chunks,
     digits_to_values,
     index_to_poly,
     interlace_digit_array,
     interlace_digits,
+    interlaced_generator_matrices,
     lattice_points,
     point_for_index,
     read_points_digits,

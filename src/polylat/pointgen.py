@@ -8,12 +8,17 @@ yielding a higher-order net of b^m points in s = d/alpha dimensions.
 
 Points are kept as exact base-b digit vectors until quadrature time: the
 error kernel needs exact leading-digit positions, and interlacing is a
-digit operation.  The point set is a digital net: the digits of coordinate
-j are C_j @ (digits of n) over Z_b, with generating matrix C_j = T M_{q_j}
-(gfpoly.laurent_digit_matrix, gfpoly.mul_mod_matrix).  Bulk generation
-builds every C_j from the m matrices T M_{x^k}, which M_q is linear in, and
-then fills the digit cube by b-adic doubling: points t b^r .. (t+1) b^r - 1
-are points 0 .. b^r - 1 plus t times column r of every C_j.
+digit operation.  The point set is a digital net: the digits of classical
+coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
+C_j is the Hankel matrix of the Laurent digits of q_j/P.  The interlaced net
+has its own generating matrices G_k, of shape (alpha*m, m), whose rows are
+the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so points come
+straight from G without a classical digit cube or an interlacing pass.  They
+are made in blocks of R = b^r points bounded by CHUNK_BYTES: a head block of
+points 0 .. R - 1 is filled once by b-adic doubling (points t b^k .. (t+1)
+b^k - 1 are points 0 .. b^k - 1 plus t times column k of G), and the block
+starting at point t R is the head block plus G times the digits of t R.
+Memory is bounded by the block, not by N.
 """
 
 import json
@@ -26,9 +31,7 @@ from .gfpoly import (
     GfPoly,
     Modulus,
     check_prime_base,
-    laurent_digit_matrix,
     laurent_digits,
-    mul_mod_matrix,
     poly_from_string,
     poly_to_string,
 )
@@ -140,43 +143,105 @@ class DigitPoint:
 
 # -- bulk digit generation ---------------------------------------------------
 
-# digit rows cast to float64 at a time in digits_to_values (3 MB at L = 24)
-_ROWS_PER_BLOCK = 1 << 14
+# digit rows cast to float64 at a time in digits_to_values (0.8 MB at L = 24;
+# measured faster than 1 << 14, and it keeps the temporary below a chunk)
+_ROWS_PER_BLOCK = 1 << 12
+
+# digit bytes per block of points; measured faster than 1 MiB and 8 MiB
+CHUNK_BYTES = 1 << 22
 
 
-def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
-    """Digits of the classical point set, shape (N, d, m), dtype uint8.
+def _generator_matrices(gv: GeneratingVector) -> np.ndarray:
+    """Generating matrices C_j of the classical net, shape (d, m, m), int64.
 
-    out[n, j] holds digits t_1..t_m of coordinate j of point n.  The digit
-    sums of the doubling stay in uint8, which limits the base to b < 128.
+    C_j[l, i] is Laurent digit l + i + 1 of q_j/P (a Hankel matrix): it is
+    digit l + 1 of x^i q_j/P, the digits of n q_j/P being linear in n.  By
+    linearity in q_j it is sum_k q_jk u_(l+i+k+1), with u the digits of 1/P.
     """
-    b, m, N = gv.b, gv.m, gv.n_points
+    b, m = gv.b, gv.m
     if b >= 128:
         raise ValueError(f"uint8 digit arithmetic needs b < 128, got b={b}")
-    T = laurent_digit_matrix(gv.modulus)
-    basis = np.stack(
-        [T @ mul_mod_matrix(GfPoly(b, (0,) * k + (1,)), gv.modulus) % b for k in range(m)]
-    )
+    one = GfPoly.one(b)
+    u = np.array(laurent_digits(one, one, gv.modulus, 3 * m - 2).digits, dtype=np.int64)
+    k, l, i = np.ogrid[:m, :m, :m]
     coeffs = np.array([qj.coeffs + (0,) * (m - len(qj.coeffs)) for qj in gv.q])
-    C = np.tensordot(coeffs, basis, axes=1) % b  # (d, m, m), C[j] = T M_{q_j}
-    out = np.zeros((N, gv.d, m), dtype=np.uint8)
+    return np.tensordot(coeffs, u[k + l + i], axes=1) % b
+
+
+def interlaced_generator_matrices(gv: GeneratingVector) -> np.ndarray:
+    """Generating matrices of the interlaced net, shape (s, alpha*m, m), int64.
+
+    Row a*alpha + j of G[k] is row a of C_{k*alpha+j}: digit a+1 of block
+    member j+1 lands at interlaced position j + a*alpha, as in
+    interlace_digit_array.
+    """
+    s, alpha, m = gv.s, gv.alpha, gv.m
+    C = _generator_matrices(gv)
+    return C.reshape(s, alpha, m, m).transpose(0, 2, 1, 3).reshape(s, alpha * m, m)
+
+
+def _fill_by_doubling(out: np.ndarray, G: np.ndarray, b: int):
+    """Digits of points 0 .. len(out) - 1 into out, with out[0] = 0 given.
+
+    Row n of out is G @ (digits of n) mod b, where G has shape (..., r) and
+    len(out) = b^r: rows [t b^k, (t+1) b^k) are rows [0, b^k) plus t times
+    column k of G.  The digit sums stay in uint8, so b < 128.
+    """
     size = 1
-    for r in range(m):  # digit r of n: rows [t b^r, (t+1) b^r) from rows [0, b^r)
+    for k in range(G.shape[-1]):
         for t in range(1, b):
-            step = (t * C[:, :, r] % b).astype(np.uint8)  # t*C passes 255 at b = 17
+            step = (t * G[..., k] % b).astype(np.uint8)  # t*G passes 255 at b = 17
             dst = out[t * size : (t + 1) * size]
             # x + c < 2b <= 256, and x + c - b wraps above x + c exactly when x + c < b
             np.add(out[:size], step, out=dst)
             np.minimum(dst, dst - np.uint8(b), out=dst)
         size *= b
+
+
+def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
+    """Digits of the classical point set, shape (N, d, m), dtype uint8.
+
+    out[n, j] holds digits t_1..t_m of coordinate j of point n.  Kept as the
+    cross-check of the interlaced path; the digit sums stay in uint8, which
+    limits the base to b < 128.
+    """
+    C = _generator_matrices(gv)
+    out = np.zeros((gv.n_points, gv.d, gv.m), dtype=np.uint8)
+    _fill_by_doubling(out, C, gv.b)
     return out
+
+
+def digit_chunks(gv: GeneratingVector):
+    """Interlaced digits of points 0 .. N - 1, in order, in blocks of R = b^r points.
+
+    Yields fresh (R, s, alpha*m) uint8 arrays; R is the largest power of b
+    whose block fits in CHUNK_BYTES (at least 1, at most N).  The head block
+    H of points 0 .. R - 1 is filled once by doubling over the low r columns
+    of G; the block starting at point t R is H plus G times the digits of
+    t R, which by linearity over Z_b is exact, and which carries nowhere
+    because the low r digits of t R are zero.
+    """
+    b, m = gv.b, gv.m
+    G = interlaced_generator_matrices(gv)
+    r = 0
+    while r < m and b ** (r + 1) * G.shape[0] * G.shape[1] <= CHUNK_BYTES:
+        r += 1
+    head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
+    _fill_by_doubling(head, G[..., :r], b)
+    high = G[..., r:]
+    for t in range(b ** (m - r)):
+        digits = np.array([t // b**k % b for k in range(m - r)], dtype=np.int64)
+        chunk = head + (high @ digits % b).astype(np.uint8)
+        np.minimum(chunk, chunk - np.uint8(b), out=chunk)
+        yield chunk
 
 
 def interlace_digit_array(classical: np.ndarray, alpha: int) -> np.ndarray:
     """Interlace blocks of alpha coordinates, (N, alpha*s, m) -> (N, s, alpha*m).
 
     Output digit at position j + (a-1)*alpha (1-based) is digit a of block
-    member j, exactly the digit-interleaving map.
+    member j, exactly the digit-interleaving map.  The cross-check of
+    interlaced_generator_matrices.
     """
     N, d, m = classical.shape
     if d % alpha != 0:
@@ -217,7 +282,13 @@ def digits_to_values(digits: np.ndarray, b: int) -> np.ndarray:
 
 def lattice_points(gv: GeneratingVector) -> np.ndarray:
     """Interlaced lattice points as an (N, s) float array, the quadrature view."""
-    return digits_to_values(interlace_digit_array(classical_digit_array(gv), gv.alpha), gv.b)
+    out = np.empty((gv.n_points, gv.s))
+    start = 0
+    for chunk in digit_chunks(gv):
+        out[start : start + len(chunk)] = digits_to_values(chunk, gv.b)
+        start += len(chunk)
+        del chunk  # not alive while the generator makes the next one
+    return out
 
 
 # -- exact-digit oracle ----------------------------------------------------
@@ -254,33 +325,46 @@ def interlace_digits(streams, alpha: int) -> DigitVector:
 CSV_CHUNK_ROWS = 64  # rows per write: bounds the Python floats and strings alive at once
 
 
-def write_points_csv(path, values: np.ndarray):
-    """Decimal CSV, one row per point, header y1..ys; each value is repr(float)."""
-    n, s = values.shape
+def _header(s: int) -> str:
+    return ",".join(f"y{j + 1}" for j in range(s)) + "\n"
+
+
+def write_points_csv(path, blocks):
+    """Decimal CSV, one row per point, header y1..ys; each value is repr(float).
+
+    blocks is an iterable of (n_i, s) value arrays written in order (pass
+    [values] for one array); the header comes from the first block.
+    """
     with open(path, "w") as fh:
-        fh.write(",".join(f"y{j + 1}" for j in range(s)) + "\n")
-        for start in range(0, n, CSV_CHUNK_ROWS):
-            rows = values[start : start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        for i, values in enumerate(blocks):
+            if i == 0:
+                fh.write(_header(values.shape[1]))
+            for start in range(0, len(values), CSV_CHUNK_ROWS):
+                rows = values[start : start + CSV_CHUNK_ROWS].tolist()
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def write_points_digits(path, digits: np.ndarray, b: int):
+def write_points_digits(path, blocks, b: int):
     """Exactness-preserving format: one base-b digit string per coordinate.
 
     A coordinate with digits t_1..t_L is written as the string t_1 t_2 ... t_L
-    (most significant fractional digit first).
+    (most significant fractional digit first).  blocks is an iterable of
+    (n_i, s, L) digit arrays written in order (pass [digits] for one array);
+    the header comes from the first block.
     """
     if b > 7:
         raise ValueError("digit format needs single-character digits (b <= 7)")
-    n, s, L = digits.shape
-    text = np.empty((n, s, L + 1), dtype=np.uint8)
-    text[..., :L] = digits
-    text[..., :L] += ord("0")
-    text[..., L] = ord(",")
-    text[:, -1, L] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write((",".join(f"y{j + 1}" for j in range(s)) + "\n").encode())
-        fh.write(text.tobytes())
+        for i, digits in enumerate(blocks):
+            n, s, L = digits.shape
+            if i == 0:
+                fh.write(_header(s).encode())
+            text = np.empty((n, s, L + 1), dtype=np.uint8)
+            text[..., :L] = digits
+            text[..., :L] += ord("0")
+            text[..., L] = ord(",")
+            text[:, -1, L] = ord("\n")
+            fh.write(text.data)  # the buffer itself, not a bytes copy
 
 
 def read_points_digits(path, b: int) -> np.ndarray:

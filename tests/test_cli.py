@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from polylat import cli
 from polylat.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +97,17 @@ class TestConstruct:
         assert "constructed" not in stdout
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_in_missing_directory_rejected_before_search(self, tmp_path, capsys, monkeypatch):
+        def search(*_args, **_kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(cli, "fast_cbc", search)
+        code, stdout, err = run(CONSTRUCT + ["--out", str(tmp_path / "nodir" / "v.json")], capsys)
+        assert code == 1
+        assert "invalid config: field 'out'" in err and "nodir" in err
+        assert "constructed" not in stdout
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(["construct", "--b", "2", "--alpha", "2", "--s", "2",
                             "--J", "0", "--p", "0.6"], capsys)
@@ -150,6 +162,13 @@ class TestPoints:
         want = np.array([point_for_index(gv, n).values() for n in range(gv.n_points)])
         got = np.loadtxt(pts, delimiter=",", skiprows=1)
         assert np.allclose(got, want, atol=1e-15)
+
+    def test_out_in_missing_directory_rejected(self, vector, tmp_path, capsys):
+        out = tmp_path / "nodir" / "p.csv"
+        code, _, err = run(["points", "--gv", str(vector), "--out", str(out)], capsys)
+        assert code == 1
+        assert "invalid config: field 'out'" in err and "nodir" in err
+        assert not out.parent.exists()
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,16 +3,18 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polylat import pointgen
+from polylat import cli, pointgen
 from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, poly_to_string
 from polylat.pointgen import (
     GeneratingVector,
     classical_digit_array,
+    digit_chunks,
     digits_to_values,
     index_to_poly,
     interlace_digit_array,
@@ -223,8 +225,8 @@ class TestGeneratingVectorIO:
         vals = digits_to_values(digits, gv.b)
         csv = tmp_path / "p.csv"
         dig = tmp_path / "p.dig"
-        write_points_csv(csv, vals)
-        write_points_digits(dig, digits, gv.b)
+        write_points_csv(csv, [vals])
+        write_points_digits(dig, [digits], gv.b)
         lines = csv.read_text().splitlines()
         assert lines[0] == "y1"
         assert len(lines) == gv.n_points + 1
@@ -243,7 +245,7 @@ class TestGeneratingVectorIO:
         values[1] = [0.5, 0.25, 0.75, 0.125, 1.0 - 2.0**-53]
         values[2, :3] = [0.1 + 0.2, 2.0**-40, 1e-300]  # 17-digit and exponent forms
         path = tmp_path / "p.csv"
-        write_points_csv(path, values)
+        write_points_csv(path, [values])
         want = "y1,y2,y3,y4,y5\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in values
         )
@@ -254,16 +256,35 @@ class TestGeneratingVectorIO:
         gv = make_gv(b, 3, [1, 5, 2, 7], alpha=2)
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
         path = tmp_path / "p.dig"
-        write_points_digits(path, digits, b)
+        write_points_digits(path, [digits], b)
         want = ",".join(f"y{j + 1}" for j in range(gv.s)) + "\n" + "".join(
             ",".join("".join(str(int(t)) for t in coord) for coord in row) + "\n"
             for row in digits
         )
         assert path.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("fmt", ["csv", "digits"])
+    def test_block_writes_match_one_block(self, tmp_path, fmt):
+        gv = make_gv(3, 5, [1, 5, 2, 7], alpha=2)  # 243 points
+        digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
+        data = digits if fmt == "digits" else digits_to_values(digits, gv.b)
+        cuts = [0, 1, 1, 70, 199, gv.n_points]  # an empty block; blocks across CSV_CHUNK_ROWS
+
+        def write(path, blocks):
+            if fmt == "digits":
+                write_points_digits(path, blocks, gv.b)
+            else:
+                write_points_csv(path, blocks)
+            return path.read_bytes()
+
+        whole = write(tmp_path / "one", [data])
+        parts = write(tmp_path / "many", (data[i:j] for i, j in zip(cuts, cuts[1:])))
+        assert parts == whole
+        assert whole.count(b"\n") == gv.n_points + 1
+
     def test_digit_strings_need_single_character_digits(self, tmp_path):
         with pytest.raises(ValueError, match="b <= 7"):
-            write_points_digits(tmp_path / "p.dig", np.zeros((1, 1, 2), np.uint8), 11)
+            write_points_digits(tmp_path / "p.dig", [np.zeros((1, 1, 2), np.uint8)], 11)
         with pytest.raises(ValueError, match="b <= 7"):
             poly_to_string(GfPoly(11, (1,)))
 
@@ -273,7 +294,102 @@ class TestGeneratingVectorIO:
         gv = make_gv(3, 2, [1, 4], alpha=2)
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
         path = tmp_path / "p.dig"
-        write_points_digits(path, digits, gv.b)
+        write_points_digits(path, [digits], gv.b)
         back = read_points_digits(path, gv.b)
         assert back.shape == digits.shape
         assert (back == digits).all()
+
+
+def _random_specs(count, seed):
+    """Small (b, m, alpha, s) specs; b^m stays small enough for the oracle."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        b = int(rng.choice([2, 3, 5, 7]))
+        m = int(rng.integers(2, 7))
+        if b**m <= 20000:
+            specs.append((b, m, int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+    return specs
+
+
+RANDOM_SPECS = _random_specs(12, seed=14)
+
+
+class TestChunkedDifferential:
+    """Seeded random specs: chunked interlaced digits against the per-point oracle."""
+
+    def test_specs_cover_both_value_regimes(self):
+        exact = [b ** (alpha * m) <= 2**53 for b, m, alpha, _s in RANDOM_SPECS]
+        assert any(exact) and not all(exact)
+
+    @pytest.mark.parametrize("b,m,alpha,s", RANDOM_SPECS)
+    def test_chunks_match_point_for_index(self, b, m, alpha, s, monkeypatch):
+        rng = np.random.default_rng([b, m, alpha, s])
+        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
+        L = alpha * m
+        r = m - 2  # b^2 chunks of b^r points: offsets with two nonzero digits
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", b**r * s * L)
+        chunks = list(digit_chunks(gv))
+        assert [len(c) for c in chunks] == [b**r] * b ** (m - r)
+        digits = np.concatenate(chunks)
+        assert (digits == interlace_digit_array(classical_digit_array(gv), alpha)).all()
+
+        # every chunk's first and last point, plus random ones, from long division
+        starts = np.arange(0, gv.n_points, b**r)
+        picks = set(starts) | set(starts + b**r - 1) | set(rng.integers(0, gv.n_points, 40))
+        for n in sorted(picks):
+            coords = point_for_index(gv, int(n)).coords
+            for k in range(s):
+                want = interlace_digits(list(coords[k * alpha : (k + 1) * alpha]), alpha)
+                assert tuple(digits[n, k]) == want.digits
+
+        # values against the exact fraction of the digit string
+        strings = (digits + np.uint8(ord("0"))).reshape(-1, L).view(f"S{L}").ravel()
+        want = np.array([float(Fraction(int(t, b), b**L)) for t in strings])
+        got = lattice_points(gv).ravel()
+        if b**L <= 2**53:
+            assert (got == want).all()
+        else:
+            assert (np.abs(got - want) <= np.spacing(want)).all()
+
+
+# allocations besides the chunks: matrices, the parser, Python row strings
+SLACK = 1 << 18
+
+
+class TestChunkedMemory:
+    def test_lattice_points_peak_is_output_plus_three_chunks(self):
+        rng = random.Random(3)
+        gv = make_gv(2, 16, [rng.randrange(1, 2**16) for _ in range(32)], alpha=2)
+        chunk = pointgen.CHUNK_BYTES
+        assert gv.n_points * gv.d * gv.m >= 8 * chunk  # each unchunked digit cube
+        tracemalloc.start()
+        try:
+            pts = lattice_points(gv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the head block, the chunk and its wrap temporary
+        assert peak <= pts.nbytes + 3 * chunk + SLACK
+
+    @pytest.mark.parametrize("fmt", ["csv", "digits"])
+    def test_cli_points_peak_is_a_few_chunks(self, tmp_path, capsys, monkeypatch, fmt):
+        chunk = 1 << 14
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", chunk)
+        rng = random.Random(4)
+        gv = make_gv(2, 12, [rng.randrange(1, 2**12) for _ in range(32)], alpha=2)
+        gv.save(tmp_path / "gv.json")
+        argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(tmp_path / "p"),
+                "--format", fmt]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # head, chunk and wrap temporary, plus at most 8 bytes per digit of
+        # one chunk as floats or text: below the whole float array
+        bound = 11 * chunk + SLACK
+        assert bound < gv.n_points * gv.s * 8
+        assert peak <= bound
