@@ -1,10 +1,11 @@
 """Command-line front end: construct, points, bounds, converge, selftest.
 
-Configuration precedence is flags over config-file values over defaults;
-the config file is a JSON object whose keys mirror the flag names with
-underscores, and unknown keys are rejected.  Every output file embeds the
-fully resolved configuration so artifacts are reproducible from their own
-metadata.
+Each subcommand takes only the options it reads (see build_parser).
+Configuration precedence is flags over config-file values over defaults.
+A config file is a JSON object keyed by the command's option names with
+underscores (plus beta_values on the weight commands) and, optionally,
+"command" naming the subcommand; other keys are rejected.  Every output
+embeds its resolved configuration in that form, so --config replays it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical or
 oracle failure.
@@ -76,9 +77,12 @@ class RunConfig:
     mc_baseline: bool = False
     gv: str | None = None
     inject_fault: bool = False
+    # names of the options the command reads, taken from its parser
+    options: tuple = ()
 
     def resolved_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The command and every option it read: a config file that replays it."""
+        return {"command": self.command, **{k: getattr(self, k) for k in self.options}}
 
     def decay_sequence(self) -> DecaySequence:
         p = self.p
@@ -112,10 +116,7 @@ class RunConfig:
             raise UsageError(f"field 'alpha'/'b'/'J': {exc}") from exc
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
-
-
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str, keys) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -123,16 +124,21 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"field 'config': cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("field 'config': top level must be a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
+    named = data.pop("command", command)
+    if named != command:
+        raise UsageError(f"field 'command': config file is for {named!r}, not {command!r}")
+    unknown = set(data) - set(keys)
     if unknown:
-        raise UsageError(f"field 'config': unknown keys {sorted(unknown)}")
+        raise UsageError(f"field 'config': unknown keys {sorted(unknown)} for {command}")
     return data
 
 
-def _parse_lambda_grid(text: str) -> list:
+def _parse_lambda_grid(grid) -> list:
+    if isinstance(grid, str):
+        grid = [tok for tok in grid.split(",") if tok.strip()]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+        return [float(lam) for lam in grid]
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"field 'lambda_grid': {exc}") from exc
 
 
@@ -155,82 +161,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--b", type=int, help="prime base (default 2)")
-    p.add_argument("--alpha", type=int, help="interlacing order")
-    p.add_argument("--J", type=int, help="crossover dimension (product weights on 1..J)")
-    p.add_argument("--p", type=float, help="summability exponent of the weight sequence")
-    p.add_argument("--beta-c", dest="beta_c", type=float, help="weight sequence scale c in c*j^-theta")
-    p.add_argument("--beta-theta", dest="beta_theta", type=float, help="weight sequence decay theta")
-    p.add_argument("--eps", type=float, help="tail threshold used to derive J when J is omitted")
-    p.add_argument("--b-hol", dest="b_hol", type=float, help="holomorphy bound B >= 1 in the J rule")
-    p.add_argument(
-        "--use-prime-constant",
-        dest="use_prime_constant",
-        choices=["on", "off"],
-        help="use the 2^alpha-rescaled error constant (default on)",
-    )
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int, help="seed for the Monte Carlo baseline")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polylat", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
-
-    c = sub.add_parser("construct", parents=[], help="run the fast CBC construction")
-    _add_common(c)
-    c.add_argument("--m", type=int, help="number of points is b^m")
-    c.add_argument("--s", type=int, help="number of dimensions")
-    c.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated bound-check grid")
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    c = sub.add_parser("construct", help="run the fast CBC construction")
     pts = sub.add_parser("points", help="emit the point set of a generating vector")
-    _add_common(pts)
+    bnd = sub.add_parser("bounds", help="print the bound calculators' table")
+    cv = sub.add_parser("converge", help="construct, integrate, and fit the empirical rate")
+    st = sub.add_parser("selftest", help="run the oracle suite (fast-vs-slow, FFT, bounds)")
+
+    for p in (c, pts, bnd, cv, st):
+        p.add_argument("--config", help="JSON config file (flags override it)")
+    for p in (c, bnd, cv):  # the weight options
+        p.add_argument("--b", type=int, help="prime base (default 2)")
+        p.add_argument("--alpha", type=int, help="interlacing order")
+        p.add_argument("--J", type=int, help="crossover dimension (product weights on 1..J)")
+        p.add_argument("--p", type=float, help="summability exponent of the weight sequence")
+        p.add_argument("--beta-c", dest="beta_c", type=float, help="weight sequence scale c in c*j^-theta")
+        p.add_argument("--beta-theta", dest="beta_theta", type=float, help="weight sequence decay theta")
+        p.add_argument("--eps", type=float, help="tail threshold used to derive J when J is omitted")
+        p.add_argument("--b-hol", dest="b_hol", type=float, help="holomorphy bound B >= 1 in the J rule")
+        p.add_argument(
+            "--use-prime-constant",
+            dest="use_prime_constant",
+            choices=["on", "off"],
+            help="use the 2^alpha-rescaled error constant (default on)",
+        )
+        p.add_argument("--s", type=int, help="number of dimensions")
+    for p in (c, bnd):
+        p.add_argument("--m", type=int, help="number of points is b^m")
+        p.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated lambda grid")
+    for p in (c, pts, cv):
+        p.add_argument("--out", help="output path")
+    for p in (cv, st):
+        p.add_argument("--seed", type=int, help="random seed")
+
     pts.add_argument("--gv", help="generating-vector JSON produced by construct")
     pts.add_argument("--format", choices=["csv", "digits"], help="decimal CSV or exact digit strings")
-
-    bnd = sub.add_parser("bounds", help="print the bound calculators' table")
-    _add_common(bnd)
-    bnd.add_argument("--m", type=int, help="number of points is b^m")
-    bnd.add_argument("--s", type=int, help="number of dimensions")
-    bnd.add_argument("--lambda-grid", dest="lambda_grid", help="comma-separated lambda grid")
     bnd.add_argument("--format", choices=["json", "text"], help="output style (default text)")
-
-    cv = sub.add_parser("converge", help="construct, integrate, and fit the empirical rate")
-    _add_common(cv)
-    cv.add_argument("--s", type=int, help="integrand dimension")
     cv.add_argument("--m-range", dest="m_range", help="like 6:13 or 6,8,10")
     cv.add_argument("--family", choices=["product-exponential", "rational-spod"])
     cv.add_argument("--scale", type=float, help="product-exponential scale factor")
     cv.add_argument("--c0", type=float, help="rational family pole offset")
     cv.add_argument("--mc-baseline", dest="mc_baseline", action="store_true", default=None)
-
-    st = sub.add_parser("selftest", help="run the oracle suite (fast-vs-slow, FFT, bounds)")
-    _add_common(st)
     st.add_argument("--inject-fault", dest="inject_fault", action="store_true", default=None)
     return parser
 
 
 def resolve_config(argv) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if not ns.command:
-        raise UsageError("field 'command': choose one of construct, points, bounds, converge, selftest")
+    ns = vars(build_parser().parse_args(argv))
+    command = ns.pop("command")
+    path = ns.pop("config")
+    keys = list(ns)  # the options this command reads
+    if "p" in ns:
+        keys.append("beta_values")
     values = {}
-    if getattr(ns, "config", None):
-        values.update(_load_config_file(ns.config))
-    for key, val in vars(ns).items():
-        if key in ("config",) or val is None:
-            continue
-        values[key] = val
-    if isinstance(values.get("lambda_grid"), str):
+    for source in (_load_config_file(path, command, keys) if path else {}, ns):
+        values.update((k, v) for k, v in source.items() if v is not None)
+    if "lambda_grid" in values:
         values["lambda_grid"] = _parse_lambda_grid(values["lambda_grid"])
     if isinstance(values.get("m_range"), str):
         values["m_range"] = _parse_m_range(values["m_range"])
-    if isinstance(values.get("use_prime_constant"), str):
-        values["use_prime_constant"] = values["use_prime_constant"] != "off"
-    cfg = RunConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS or k == "command"})
+    if "use_prime_constant" in values:
+        upc = values["use_prime_constant"]
+        if not (isinstance(upc, bool) or upc in ("on", "off")):
+            raise UsageError(f"field 'use_prime_constant': need on, off, true or false, got {upc!r}")
+        values["use_prime_constant"] = upc in (True, "on")
+    cfg = RunConfig(command=command, options=tuple(keys), **values)
     _validate(cfg)
     return cfg
 
@@ -246,41 +243,42 @@ def _validate(cfg: RunConfig):
         raise UsageError("field 'J': need J >= 0")
     if cfg.p is not None and not 0 < cfg.p <= 1:
         raise UsageError("field 'p': need 0 < p <= 1")
-    if cfg.lambda_grid is not None and not cfg.lambda_grid:
-        raise UsageError("field 'lambda_grid': grid is empty")
     if cfg.command == "construct" and cfg.b > 7:
         raise UsageError(
             "field 'b': the generating-vector file stores q and P as "
             "single-character digit strings, so construct needs b <= 7"
         )
-    if cfg.command in ("construct", "bounds") and cfg.m is None:
-        raise UsageError("field 'm': required for this command")
-    if cfg.command in ("construct", "bounds", "converge") and cfg.s is None:
-        raise UsageError("field 's': required for this command")
-    if cfg.command == "converge" and cfg.m_range is None:
-        raise UsageError("field 'm_range': required for converge")
-    if cfg.command == "points" and cfg.gv is None:
-        raise UsageError("field 'gv': path to a generating-vector JSON is required")
-    if cfg.out is not None and cfg.command in ("construct", "points", "converge"):
+    for name in ("m", "s", "m_range", "gv"):
+        if name in cfg.options and getattr(cfg, name) is None:
+            raise UsageError(f"field '{name}': required for {cfg.command}")
+    if cfg.out is not None:
         # checked before any work: construct would otherwise lose a finished search
         folder = os.path.dirname(cfg.out) or "."
         if not os.path.isdir(folder):
             raise UsageError(f"field 'out': directory {folder!r} does not exist")
 
 
+def _lambda_grid(cfg: RunConfig, alpha: int) -> list:
+    """The bound-check grid, checked against (1/alpha, 1] before any work."""
+    grid = default_lambda_grid(alpha) if cfg.lambda_grid is None else cfg.lambda_grid
+    if not grid or not all(1.0 / alpha < lam <= 1.0 for lam in grid):
+        raise UsageError(f"field 'lambda_grid': need values in (1/{alpha}, 1], got {grid}")
+    return grid
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
-def _write_sidecar(path: str, sidecar: dict):
+def _write_json(path: str, doc: dict):
     with open(path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_construct(cfg: RunConfig) -> int:
     spec = cfg.weight_spec()
+    grid = _lambda_grid(cfg, spec.alpha)
     result = fast_cbc(spec, cfg.m, cfg.s)
-    grid = cfg.lambda_grid or default_lambda_grid(spec.alpha)
     out = cfg.out or f"polylat_b{cfg.b}_m{cfg.m}_s{cfg.s}.json"
     meta = dict(cfg.resolved_dict(), J=result.J)
     # the finished vector and its sidecar go to disk before the bound check,
@@ -288,7 +286,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     result.gen_vector.save(out, metadata=meta)
     sidecar_path = out.removesuffix(".json") + ".cbc.json"
     sidecar = dict(result.sidecar_dict(), config=meta)
-    _write_sidecar(sidecar_path, sidecar)
+    _write_json(sidecar_path, sidecar)
     print(f"constructed {result.d} components (J={result.J}) -> {out}")
     try:
         check = verify_bound(result, spec, grid)
@@ -298,7 +296,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     else:
         sidecar["bound_check"] = check.to_json_dict()
     finally:
-        _write_sidecar(sidecar_path, sidecar)
+        _write_json(sidecar_path, sidecar)
     print(f"final criterion {result.criterion_per_step[-1]:.6e}; bound check "
           f"{'passed' if check.ok else 'FAILED'}")
     if not check.ok:
@@ -324,7 +322,7 @@ def cmd_points(cfg: RunConfig) -> int:
 def cmd_bounds(cfg: RunConfig) -> int:
     spec = cfg.weight_spec()
     d = spec.alpha * cfg.s
-    grid = cfg.lambda_grid or default_lambda_grid(spec.alpha)
+    grid = _lambda_grid(cfg, spec.alpha)
     report = {"config": dict(cfg.resolved_dict(), J=spec.J), "warnings": []}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -399,9 +397,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     rec.to_csv(out)
     meta = rec.to_json_dict()
     meta["config"] = dict(cfg.resolved_dict(), J=spec.J)
-    with open(out + ".meta.json", "w") as fh:
-        json.dump(_sanitize(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out + ".meta.json", _sanitize(meta))
     if rec.degenerate:
         print(f"all errors at float noise; no slope fitted -> {out}")
     else:

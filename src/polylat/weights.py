@@ -267,27 +267,27 @@ def _spod_subset_table(spec: WeightSpec, first: int, last: int):
     """For every subset of blocks first..last: (gamma value, size, has-last flag).
 
     gamma values are SPOD order sums; they are independent of the bound's
-    lambda, so one table serves a whole lambda grid.  Cost 2^(last-first+1);
-    the product regime never enters here, which is the point of the hybrid
-    structure.
+    lambda, so one table serves a whole lambda grid.  Bit i of a row's index
+    says whether its subset holds block first+i.  The table doubles once per
+    block: the subsets holding block j are those without it, each order
+    polynomial multiplied by block j's.  Cost 2^(last-first+1); the product
+    regime never enters here, which is the point of the hybrid structure.
     """
-    idx = list(range(first, last + 1))
-    k = len(idx)
-    n_masks = 1 << k
-    max_len = spec.alpha * k + 1
-    polys = np.zeros((n_masks, max_len))
+    k = last - first + 1
+    width = spec.alpha * k + 1
+    polys = np.zeros((1, width))
     polys[0, 0] = 1.0
-    base = [_order_poly(j, spec) for j in idx]
-    for mask in range(1, n_masks):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask ^ (1 << low)
-        conv = np.convolve(polys[prev][: spec.alpha * bin(prev).count("1") + 1], base[low])
-        polys[mask, : len(conv)] = conv
-    facts = np.array([_fact(n) for n in range(max_len)])
-    gamma = (polys * facts).sum(axis=1)
-    sizes = np.array([bin(mask).count("1") for mask in range(n_masks)], dtype=np.int64)
-    has_last = (np.arange(n_masks) >> (k - 1)) & 1 if k else np.zeros(1, dtype=np.int64)
-    return gamma, sizes, has_last.astype(bool)
+    sizes = np.zeros(1, dtype=np.int64)
+    for j in range(first, last + 1):
+        with_j = np.zeros_like(polys)
+        for nu, coef in enumerate(_order_poly(j, spec)):
+            with_j[:, nu:] += coef * polys[:, : width - nu]
+        polys = np.concatenate([polys, with_j])
+        sizes = np.concatenate([sizes, sizes + 1])
+    facts = np.array([_fact(n) for n in range(width)])
+    gamma = polys @ facts
+    has_last = np.arange(1 << k) >= 1 << (k - 1)
+    return gamma, sizes, has_last
 
 
 def cbc_bound(spec: WeightSpec, m: int, d: int, lam: float) -> float:
@@ -320,10 +320,11 @@ def cbc_bound(spec: WeightSpec, m: int, d: int, lam: float) -> float:
     spod_factor = 1.0
     if s > spec.J:
         first, last = spec.J + 1, s
-        if last - first + 1 > 24:
-            raise ValueError(
-                f"SPOD bound enumeration over {last - first + 1} blocks is too large"
-            )
+        k = last - first + 1
+        # the subset table is 2^k x (alpha*k+1) doubles and building it peaks
+        # near twice that: refuse more than 1 GiB before allocating
+        if (1 << k) * (alpha * k + 1) * 8 > 1 << 30:
+            raise ValueError(f"SPOD bound enumeration over {k} blocks is too large")
         gamma, sizes, has_last = _spod_subset_table(spec, first, last)
         g_full = (1.0 + x) ** alpha - 1.0
         g_last = g[s - 1]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from polylat import cli
 from polylat.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(argv, capsys):
@@ -105,6 +107,21 @@ class TestConstruct:
         code, stdout, err = run(CONSTRUCT + ["--out", str(tmp_path / "nodir" / "v.json")], capsys)
         assert code == 1
         assert "invalid config: field 'out'" in err and "nodir" in err
+        assert "constructed" not in stdout
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", ["0.3,0.8", "0.8,1.5", ","])
+    def test_lambda_grid_outside_range_rejected_before_search(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        def search(*_args, **_kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(cli, "fast_cbc", search)
+        out = tmp_path / "v.json"
+        code, stdout, err = run(CONSTRUCT + ["--lambda-grid", grid, "--out", str(out)], capsys)
+        assert code == 1
+        assert "invalid config: field 'lambda_grid'" in err
         assert "constructed" not in stdout
         assert list(tmp_path.iterdir()) == []
 
@@ -204,6 +221,12 @@ class TestBounds:
         b5 = json.loads(out5)["cbc_bound"][-1]["bound"]
         b10 = json.loads(out10)["cbc_bound"][-1]["bound"]
         assert b10 < b5
+
+    def test_lambda_grid_outside_range_is_usage_error(self, capsys):
+        code, out, err = run(self.ARGS + ["--lambda-grid", "0.3,0.8"], capsys)
+        assert code == 1
+        assert "field 'lambda_grid'" in err and "0.3" in err
+        assert out == ""
 
     def test_p_one_divergence_warns_but_succeeds(self, capsys):
         args = ["bounds", "--b", "2", "--m", "5", "--alpha", "2", "--s", "3",
@@ -332,3 +355,117 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--frobnicate"])
         assert exc.value.code == 1
+
+
+# the options each subcommand reads, besides --config
+WEIGHT_OPTIONS = {"b", "alpha", "J", "p", "beta_c", "beta_theta", "eps", "b_hol",
+                  "use_prime_constant", "s"}
+OPTIONS = {
+    "construct": WEIGHT_OPTIONS | {"m", "lambda_grid", "out"},
+    "points": {"gv", "format", "out"},
+    "bounds": WEIGHT_OPTIONS | {"m", "lambda_grid", "format"},
+    "converge": WEIGHT_OPTIONS | {"m_range", "family", "scale", "c0", "mc_baseline", "out",
+                                  "seed"},
+    "selftest": {"inject_fault", "seed"},
+}
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_takes_only_its_options(self, command):
+        ns = vars(cli.build_parser().parse_args([command]))
+        assert set(ns) == OPTIONS[command] | {"command", "config"}
+
+    @pytest.mark.parametrize("argv", [
+        ["points", "--gv", "v.json", "--b", "3"],
+        ["selftest", "--p", "0.5"],
+        TestBounds.ARGS + ["--out", "x"],
+        CONSTRUCT + ["--seed", "1"],
+    ])
+    def test_option_of_another_command_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,bad", [
+        ("construct", {"gv": "v.json"}, "gv"),
+        ("construct", {"seed": 1}, "seed"),
+        ("construct", {"family": "rational-spod"}, "family"),
+        ("points", {"b": 3}, "b"),
+        ("selftest", {"p": 0.5}, "p"),
+        ("bounds", {"beta_values": [0.5], "out": "x"}, "out"),
+    ])
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, doc, bad):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert f"unknown keys ['{bad}']" in err
+
+    def test_config_for_another_command_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fast_cbc", None)  # must not be reached
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"command": "bounds"}))
+        code, _, err = run(CONSTRUCT + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "field 'command'" in err and "'bounds'" in err
+
+    def test_embedded_config_replays_the_construction(self, tmp_path, capsys):
+        first = tmp_path / "vec.json"
+        assert run(CONSTRUCT + ["--eps", "0.8", "--out", str(first)], capsys)[0] == 0
+        doc = json.loads(first.read_text())
+        config = doc["config"]
+        assert set(config) == OPTIONS["construct"] | {"command", "beta_values"}
+        side = json.loads((tmp_path / "vec.cbc.json").read_text())
+        assert side["config"] == config
+        cfgfile = tmp_path / "replay.json"
+        cfgfile.write_text(json.dumps(config))
+        other = tmp_path / "other.json"
+        code, _, _ = run(["construct", "--config", str(cfgfile), "--out", str(other)], capsys)
+        assert code == 0
+        replay = json.loads(other.read_text())
+        assert (replay["q"], replay["P"]) == (doc["q"], doc["P"])
+        assert replay["config"] == dict(config, out=str(other))
+
+    def test_converge_and_bounds_embed_their_own_options(self, tmp_path, capsys):
+        _, out, _ = run(TestBounds.ARGS + ["--format", "json"], capsys)
+        config = json.loads(out)["config"]
+        assert set(config) == OPTIONS["bounds"] | {"command", "beta_values"}
+        assert config["command"] == "bounds"
+        conv = tmp_path / "conv.csv"
+        argv = ["converge", "--s", "2", "--m-range", "3:6", "--alpha", "2", "--J", "2",
+                "--p", "0.55", "--beta-c", "0.1", "--out", str(conv)]
+        assert run(argv, capsys)[0] == 0
+        config = json.loads((tmp_path / "conv.csv.meta.json").read_text())["config"]
+        assert set(config) == OPTIONS["converge"] | {"command", "beta_values"}
+
+    def test_readme_command_lines_parse(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        lines = [line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("polylat ")]
+        assert {argv[0] for argv in commands} == set(OPTIONS)
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
+
+class TestUsePrimeConstant:
+    @pytest.mark.parametrize("value,want", [("on", True), ("off", False), (True, True),
+                                            (False, False)])
+    def test_accepted_values(self, tmp_path, capsys, value, want):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"use_prime_constant": value}))
+        code, out, _ = run(TestBounds.ARGS + ["--config", str(cfgfile), "--format", "json"],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["use_prime_constant"] is want
+
+    @pytest.mark.parametrize("value", ["false", "maybe", "ON", 1, 0])
+    def test_other_values_rejected(self, tmp_path, capsys, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"use_prime_constant": value}))
+        code, _, err = run(TestBounds.ARGS + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "field 'use_prime_constant'" in err

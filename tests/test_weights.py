@@ -3,11 +3,13 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from polylat import weights
 from polylat.weights import (
     DecaySequence,
     WeightSpec,
@@ -267,6 +269,23 @@ class TestCbcBound:
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
             cbc_bound(spec_with(), 4, 4, 0.5)
+
+    @pytest.mark.parametrize("blocks", [22, 24])
+    def test_oversized_spod_table_refused_before_allocating(self, blocks, monkeypatch):
+        # at alpha=2 the table for 22 blocks is 2^22 x 45 doubles (1.5 GB),
+        # the first block count over the 1 GiB cap
+        def build(*_args):
+            raise AssertionError("the table must not be built")
+
+        monkeypatch.setattr(weights, "_spod_subset_table", build)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"over {blocks} blocks is too large"):
+                cbc_bound(spec_with(J=0), 8, 2 * blocks, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_exactly_zero_tail_weights(self):
         # finite list sequence: blocks past its end have weight zero, which
