@@ -208,25 +208,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_file_values(data: dict, actions: dict) -> dict:
+    """Config-file values through their option's type and choices, as a flag's would go."""
+    out = {}
+    for name, value in data.items():
+        action = actions.get(name)  # beta_values has no flag
+        if value is None or action is None:
+            out[name] = value
+            continue
+        if name == "use_prime_constant" and isinstance(value, bool):
+            value = "on" if value else "off"
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except ValueError as exc:
+                raise UsageError(
+                    f"field '{name}': {value!r} is not a valid {action.type.__name__}"
+                ) from exc
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"field '{name}': need one of {', '.join(action.choices)}, got {value!r}"
+            )
+        out[name] = value
+    return out
+
+
 def resolve_config(argv) -> RunConfig:
-    ns = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    ns = vars(parser.parse_args(argv))
     command = ns.pop("command")
     path = ns.pop("config")
     keys = list(ns)  # the options this command reads
     if "p" in ns:
         keys.append("beta_values")
+    file_values = {}
+    if path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        file_values = _check_file_values(_load_config_file(path, command, keys), actions)
     values = {}
-    for source in (_load_config_file(path, command, keys) if path else {}, ns):
+    for source in (file_values, ns):
         values.update((k, v) for k, v in source.items() if v is not None)
     if "lambda_grid" in values:
         values["lambda_grid"] = _parse_lambda_grid(values["lambda_grid"])
     if isinstance(values.get("m_range"), str):
         values["m_range"] = _parse_m_range(values["m_range"])
     if "use_prime_constant" in values:
-        upc = values["use_prime_constant"]
-        if not (isinstance(upc, bool) or upc in ("on", "off")):
-            raise UsageError(f"field 'use_prime_constant': need on, off, true or false, got {upc!r}")
-        values["use_prime_constant"] = upc in (True, "on")
+        values["use_prime_constant"] = values["use_prime_constant"] == "on"
     cfg = RunConfig(command=command, options=tuple(keys), **values)
     _validate(cfg)
     return cfg
@@ -400,6 +428,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     _write_json(out + ".meta.json", _sanitize(meta))
     if rec.degenerate:
         print(f"all errors at float noise; no slope fitted -> {out}")
+    elif rec.slope is None:
+        print(f"too few points to fit a slope (the first {rec.skip_fit} are skipped); "
+              f"no slope fitted -> {out}")
     else:
         line = f"fitted slope {rec.slope:.3f}"
         if rec.mc_slope is not None:

@@ -22,6 +22,7 @@ Memory is bounded by the block, not by N.
 """
 
 import json
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,26 +323,210 @@ def interlace_digits(streams, alpha: int) -> DigitVector:
 # -- file formats -------------------------------------------------------------
 
 
-CSV_CHUNK_ROWS = 64  # rows per write: bounds the Python floats and strings alive at once
+# values per write: bounds the Python floats and strings of the repr path and
+# the scratch arrays of the dyadic one (about 300 bytes a value), whatever N is
+CSV_CHUNK_VALUES = 1 << 12
 
 
 def _header(s: int) -> str:
     return ",".join(f"y{j + 1}" for j in range(s)) + "\n"
 
 
+class _DyadicFormatter:
+    """repr of values k/2^L, L <= 32, by exact integer arithmetic on whole arrays.
+
+    A value v = k/2^W (W the least multiple of 8 >= L) is D 10^-W with
+    D = k 5^W, and every decimal within half a gap of v reads back as v: the
+    mantissa of v is even, so ties go to v.  At scale 10^-W the half-gap is
+    H = floor(5^W / 2^(53 - floor(log2 k))) < 5.6e15 on both sides (the gap
+    below a power of two is half as wide, but the powers of two above 1e-4
+    are their own shortest decimals).  repr is the shortest decimal in
+    [D - H, D + H], nearest D, ties to an even last digit (Gay's dtoa,
+    mode 0).  With B = D + H, its digits are the first W - r* digits of B,
+    r* the largest r with B mod 10^r <= 2H, the last of them lowered to the
+    candidate nearest D, which never borrows.  Values below 1e-4, which repr
+    writes in exponent form, go through repr one by one.  The scratch arrays
+    are sized for the largest block seen and reused.
+    """
+
+    def __init__(self, s: int):
+        self.s = s
+        self.n = 0
+        self.gap_tables = {}
+
+    def _allocate(self, n: int):
+        fields = [
+            ("f", (n,), np.float64),
+            ("k", (n,), np.int64),
+            ("exp", (n,), np.int32),
+            ("flag", (n,), bool),
+            ("gaps", (5, n), np.int64),
+            ("limbs", (4, n), np.int64),  # base 10^8, least significant first
+            ("low", (n,), np.int64),
+            ("groups", (8 * n,), np.int32),
+            ("digits", (8 * n,), np.uint32),
+            ("text", (35 * n,), np.uint8),
+            ("keep", (35 * n,), bool),
+            ("out", (35 * n,), np.uint8),
+            ("seps", (n,), np.uint8),
+            ("digit_table", (10, 10, 10, 10, 4), np.uint8),
+        ]
+        sizes = [-(-np.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for _, shape, dtype in fields]
+        # One anonymous mapping, outside the malloc heap: there, scratch blocks
+        # placed among the ones fast_cbc and lattice_points free kept the heap
+        # from shrinking after an export (peak RSS up to 16 MB higher over a
+        # construct-then-export loop at spod-heavy's size).
+        mapping = np.frombuffer(mmap.mmap(-1, sum(sizes)), np.uint8)
+        start = 0
+        for (name, shape, dtype), size in zip(fields, sizes):
+            setattr(self, name, mapping[start : start + size].view(dtype)[: np.prod(shape)].reshape(shape))
+            start += size
+        self.n = n
+        self.seps[:] = ord(",")
+        self.seps[self.s - 1 :: self.s] = ord("\n")
+        # "0000" .. "9999", one uint32 each, to write digits four at a time
+        digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+        for place in range(4):
+            self.digit_table[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+        self.digit_table = self.digit_table.view(np.uint32).reshape(-1)
+
+    def _gap_table(self, W: int) -> np.ndarray:
+        """Rows H, 2H, 10^r0, 10^(r0+1), W - 1 - r0 by column floor(log2 k).
+
+        r0 = floor(log10(2H + 1)), the largest r with 10^r - 1 <= 2H.
+        """
+        if W not in self.gap_tables:
+            cols = []
+            for e in range(W):
+                H = 5**W >> (53 - e)
+                r0 = len(str(2 * H + 1)) - 1
+                cols.append((H, 2 * H, 10**r0, 10 ** (r0 + 1), W - 1 - r0))
+            self.gap_tables[W] = np.array(cols, np.int64).T.copy()
+        return self.gap_tables[W]
+
+    def format(self, rows: np.ndarray):
+        """The bytes of the CSV lines of rows, as a uint8 view of the scratch
+        space valid until the next call; None unless every value is k/2^L
+        with 0 <= k < 2^L, L <= 32."""
+        v = rows.reshape(-1)
+        n = v.size
+        if n == 0 or not (v.min() >= 0.0 and v.max() < 1.0):  # NaN fails too
+            return None
+        if n > self.n:
+            self._allocate(n)
+        f, k, flag = self.f[:n], self.k[:n], self.flag[:n]
+        np.multiply(v, 2.0**32, out=f)
+        np.copyto(k, f, casting="unsafe")
+        if not np.equal(k, f, out=flag).all():
+            return None
+        bits = int(np.bitwise_or.reduce(k))
+        L = 32 - ((bits & -bits).bit_length() - 1) if bits else 1
+        W = -(-L // 8) * 8
+        np.right_shift(k, 32 - W, out=k)
+        nl = W // 8
+
+        # the gap, by the binary exponent of v: floor(log2 k) = exp - 1 + W
+        exp = self.exp[:n]
+        np.frexp(v, out=(f, exp))
+        np.add(exp, W - 1, out=exp)
+        gaps = self.gaps[:, :n]
+        np.take(self._gap_table(W), exp, axis=1, out=gaps, mode="clip")
+        H, H2, p0, p1, last = gaps
+
+        # B = k 5^W + H in base-10^8 limbs; k < 2^32, so no product passes 2^59
+        B = self.limbs[:nl, :n]
+        for j in range(nl):
+            np.multiply(k, 5**W // 10 ** (8 * j) % 10**8, out=B[j])
+        B[0] += H
+        for j in range(nl - 1):
+            np.divmod(B[j], 10**8, out=(k, B[j]))
+            B[j + 1] += k
+
+        # B as W ascii digits, four at a time
+        groups = self.groups[: n * W // 4].reshape(n, W // 4)
+        for j in range(nl):
+            col = 2 * (nl - 1 - j)
+            np.divmod(B[j], 10**4, out=(groups[:, col], groups[:, col + 1]))
+        digits = self.digits[: n * W // 4].reshape(n, W // 4)
+        np.take(self.digit_table, groups, out=digits, mode="clip")
+        chars = digits.view(np.uint8).reshape(n, W)
+
+        # r* is r0 + 1 where B mod 10^(r0+1) <= 2H (then also every further r
+        # over a run of zero digits), else r0; 2H < 1.2e16 keeps r0 + 1 <= 17
+        low = self.low[:n]  # B mod 10^17
+        np.copyto(low, B[0])
+        if nl > 1:
+            low += B[1] * 10**8
+        if nl > 2:
+            low += B[2] % 10 * 10**16
+        np.remainder(low, p1, out=low)
+        np.less_equal(low, H2, out=flag)
+        last -= flag  # column of the last digit kept
+
+        # T = floor(B / 10^r*) is the largest candidate.  At r* = r0 + 1 it is
+        # the only one (10^r* > 2H); at r0, T - q and T - q - 1 bracket D, with
+        # c = T 10^r0 - D = q 10^r0 + u <= H, so the nearer of them is a candidate
+        c = H - low % p0
+        at = np.flatnonzero((c > 0) & ~flag)
+        c, g = c[at], p0[at]
+        q, u = np.divmod(c, g)
+        col = last[at]
+        odd = (chars[at, col] + q) % 2 == 1  # the digit of T - q - 1 is even
+        lower = (u > 0) & ((2 * u > g) | ((2 * u == g) & odd))
+        chars[at, col] -= (q + lower).astype(np.uint8)
+
+        # digits kept: through column last, less its trailing zeros
+        np.less(v, 1e-4, out=flag)
+        special = np.flatnonzero(flag)
+        ar = np.arange(n)
+        starts = ar * W
+        run = np.flatnonzero(chars.reshape(-1)[starts + last] == ord("0"))
+        run = run[~flag[run]]  # values below 1e-4 may be all zeros; repr writes them
+        while run.size:
+            last[run] -= 1
+            run = run[chars.reshape(-1)[starts[run] + last[run]] == ord("0")]
+
+        # fixed-width "0." + digits slots, each cut after its separator
+        width = W + 3
+        text = self.text[: n * width].reshape(n, width)
+        text[:, 0] = ord("0")
+        text[:, 1] = ord(".")
+        text[:, 2 : W + 2] = chars
+        end = last + 3  # the separator's column
+        for i in special:
+            word = repr(float(v[i])).encode()
+            text[i, : len(word)] = np.frombuffer(word, np.uint8)
+            end[i] = len(word)
+        text[ar, end] = self.seps[:n]
+        keep = self.keep[: n * width].reshape(n, width)
+        np.take(np.arange(width) <= np.arange(width)[:, None], end, axis=0, out=keep)
+        out = self.out[: int(end.sum()) + n]
+        return np.compress(keep.reshape(-1), text.reshape(-1), out=out)
+
+
 def write_points_csv(path, blocks):
     """Decimal CSV, one row per point, header y1..ys; each value is repr(float).
 
     blocks is an iterable of (n_i, s) value arrays written in order (pass
-    [values] for one array); the header comes from the first block.
+    [values] for one array); the header comes from the first block.  Rows
+    whose values are all k/2^L with L <= 32 (base-2 points up to alpha*m =
+    32) are formatted by exact integer arithmetic (_DyadicFormatter), others
+    by repr one value at a time; the bytes are the same.  The file is written
+    in binary, so lines end in "\n" on every platform.
     """
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for i, values in enumerate(blocks):
+            s = values.shape[1]
             if i == 0:
-                fh.write(_header(values.shape[1]))
-            for start in range(0, len(values), CSV_CHUNK_ROWS):
-                rows = values[start : start + CSV_CHUNK_ROWS].tolist()
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+                fh.write(_header(s).encode())
+                dyadic = _DyadicFormatter(s)
+            step = max(1, CSV_CHUNK_VALUES // s)
+            for start in range(0, len(values), step):
+                rows = values[start : start + step]
+                text = dyadic.format(rows)
+                if text is None:
+                    text = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
+                fh.write(text)
 
 
 def write_points_digits(path, blocks, b: int):

@@ -277,6 +277,18 @@ class TestConverge:
         assert "fitted slope" in stdout
 
 
+    def test_too_few_points_for_a_slope(self, tmp_path, capsys):
+        # m = 3..5 leaves one point after the two pre-asymptotic ones are skipped
+        out = tmp_path / "c.csv"
+        argv = ["converge", "--s", "2", "--m-range", "3:5", "--alpha", "2", "--J", "2",
+                "--p", "0.55", "--beta-c", "0.1", "--out", str(out)]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert "too few points" in stdout and "no slope" in stdout
+        assert len(out.read_text().splitlines()) == 4
+        assert json.loads((tmp_path / "c.csv.meta.json").read_text())["slope"] is None
+
+
 class TestSelftest:
     def test_clean_pass(self, capsys):
         code, out, _ = run(["selftest"], capsys)
@@ -449,6 +461,46 @@ class TestFlagSets:
         parser = cli.build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+
+class TestConfigFileValues:
+    """File values go through the same type and choices checks as flags."""
+
+    def test_points_format_outside_choices(self, tmp_path, capsys):
+        gv = tmp_path / "vec.json"
+        assert run(CONSTRUCT + ["--out", str(gv)], capsys)[0] == 0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"format": "xml"}))
+        pts = tmp_path / "p.out"
+        code, _, err = run(["points", "--gv", str(gv), "--out", str(pts), "--config",
+                            str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'format'" in err
+        assert not pts.exists()
+
+    def test_converge_family_outside_choices(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "convergence_study", None)  # must not be reached
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"family": "bogus"}))
+        code, _, err = run(["converge", "--s", "2", "--m-range", "3:5", "--alpha", "2",
+                            "--J", "2", "--p", "0.55", "--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'family'" in err
+
+    @pytest.mark.parametrize("value,ok", [("4", True), (4, True), ("four", False),
+                                          (4.5, False), (True, False), ([4], False)])
+    def test_bounds_m_through_its_type(self, tmp_path, capsys, value, ok):
+        i = TestBounds.ARGS.index("--m")
+        args = TestBounds.ARGS[:i] + TestBounds.ARGS[i + 2 :] + ["--format", "json"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m": value}))
+        code, out, err = run(args + ["--config", str(cfgfile)], capsys)
+        if ok:
+            assert code == 0
+            assert json.loads(out) == json.loads(run(args + ["--m", "4"], capsys)[1])
+        else:
+            assert code == 1
+            assert "invalid config: field 'm'" in err
 
 
 class TestUsePrimeConstant:

@@ -238,16 +238,22 @@ class TestGeneratingVectorIO:
             assert got == "".join(str(t) for t in digits[n, 0])
 
     def test_csv_writer_matches_per_value_repr(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pointgen, "CSV_CHUNK_ROWS", 3)  # several chunks, one partial
+        monkeypatch.setattr(pointgen, "CSV_CHUNK_VALUES", 15)  # 3 rows a write, one partial
         rng = np.random.default_rng(7)
         values = rng.random((8, 5))
         values[0] = 0.0
         values[1] = [0.5, 0.25, 0.75, 0.125, 1.0 - 2.0**-53]
         values[2, :3] = [0.1 + 0.2, 2.0**-40, 1e-300]  # 17-digit and exponent forms
+        # dyadic blocks (L = 24 and 32, with zeros, powers of two and values
+        # below 1e-4), one a single row, then a repr block again
+        dyadic = rng.integers(0, 2**24, size=(7, 5)) / 2.0**24
+        dyadic[0] = [0.0, 2.0**-24, 3 * 2.0**-20, 0.5, 1 - 2.0**-24]
+        wide = rng.integers(0, 2**32, size=(4, 5)) / 2.0**32
+        blocks = [values, dyadic, wide[:1], wide[1:], values[3:]]
         path = tmp_path / "p.csv"
-        write_points_csv(path, [values])
+        write_points_csv(path, blocks)
         want = "y1,y2,y3,y4,y5\n" + "".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in values
+            ",".join(repr(float(v)) for v in row) + "\n" for block in blocks for row in block
         )
         assert path.read_bytes() == want.encode()
 
@@ -264,11 +270,12 @@ class TestGeneratingVectorIO:
         assert path.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "digits"])
-    def test_block_writes_match_one_block(self, tmp_path, fmt):
+    def test_block_writes_match_one_block(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(pointgen, "CSV_CHUNK_VALUES", 128)  # 64 rows a write
         gv = make_gv(3, 5, [1, 5, 2, 7], alpha=2)  # 243 points
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
         data = digits if fmt == "digits" else digits_to_values(digits, gv.b)
-        cuts = [0, 1, 1, 70, 199, gv.n_points]  # an empty block; blocks across CSV_CHUNK_ROWS
+        cuts = [0, 1, 1, 70, 199, gv.n_points]  # an empty block; blocks across writes
 
         def write(path, blocks):
             if fmt == "digits":
@@ -298,6 +305,56 @@ class TestGeneratingVectorIO:
         back = read_points_digits(path, gv.b)
         assert back.shape == digits.shape
         assert (back == digits).all()
+
+
+def _repr_bytes(values):
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()).encode()
+
+
+class TestDyadicFormatter:
+    """The exact-arithmetic CSV path, byte for byte against repr."""
+
+    @staticmethod
+    def formatted(values):
+        fmt = pointgen._DyadicFormatter(values.shape[1])
+        step = max(1, pointgen.CSV_CHUNK_VALUES // values.shape[1])
+        out = []
+        for start in range(0, len(values), step):
+            text = fmt.format(values[start : start + step])
+            assert text is not None
+            out.append(text.tobytes())
+        return b"".join(out)
+
+    @pytest.mark.parametrize("L", range(1, 19))
+    def test_every_value_up_to_L18(self, L):
+        values = (np.arange(2**L) / 2.0**L).reshape(-1, min(2**L, 8))
+        assert self.formatted(values) == _repr_bytes(values)
+
+    @pytest.mark.parametrize("L", [24, 30, 32])
+    def test_seeded_samples(self, L):
+        k = np.random.default_rng(L).integers(0, 2**L, size=(2500, 8))
+        values = k / 2.0**L
+        assert self.formatted(values) == _repr_bytes(values)
+
+    @pytest.mark.parametrize("L", [8, 16, 20, 24, 28, 32])
+    def test_edge_values(self, L):
+        i = np.arange(1, L + 1)
+        cut = int(2**L * 1e-4)  # 0.0 and the exponent form below 1e-4, then past it
+        small = np.unique(np.clip(np.r_[0:40, cut - 40 : cut + 40], 0, None))
+        k = np.concatenate([2**i - 1, 2 ** (i - 1), 2**L - i, small])
+        values = (k / 2.0**L).reshape(-1, 1)
+        assert self.formatted(values) == _repr_bytes(values)
+
+    def test_other_blocks_take_the_repr_path(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mixed = rng.integers(0, 2**16, size=(6, 4)) / 2.0**16
+        mixed[2, 1] = 1 / 3  # a base-3 value
+        long = rng.integers(0, 2**34, size=(6, 4)) / 2.0**34
+        long[0, 0] = 1 / 2**34  # L = 34 > 32
+        for values in (mixed, long, -mixed, mixed + 1):
+            assert pointgen._DyadicFormatter(4).format(values) is None
+            write_points_csv(tmp_path / "p.csv", [values])
+            assert (tmp_path / "p.csv").read_bytes() == b"y1,y2,y3,y4\n" + _repr_bytes(values)
 
 
 def _random_specs(count, seed):
@@ -392,4 +449,37 @@ class TestChunkedMemory:
         # one chunk as floats or text: below the whole float array
         bound = 11 * chunk + SLACK
         assert bound < gv.n_points * gv.s * 8
+        assert peak <= bound
+
+    def test_cli_csv_scratch_is_bounded_by_a_value_count(self, tmp_path, capsys, monkeypatch):
+        # spod-heavy's size (s = 200, alpha*m = 24) at the default CHUNK_BYTES
+        rng = random.Random(6)
+        gv = make_gv(2, 12, [rng.randrange(1, 2**12) for _ in range(400)], alpha=2)
+        digits = next(digit_chunks(gv)).nbytes
+        floats = digits // (gv.alpha * gv.m) * 8
+        gv.save(tmp_path / "gv.json")
+        # the scratch arrays live in an anonymous mapping, which tracemalloc
+        # does not see: record their size instead
+        sizes = []
+        allocate = pointgen._DyadicFormatter._allocate
+
+        def recording(fmt, n):
+            sizes.append(n)
+            allocate(fmt, n)
+
+        monkeypatch.setattr(pointgen._DyadicFormatter, "_allocate", recording)
+        argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(tmp_path / "p.csv")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert 0 < max(sizes) <= pointgen.CSV_CHUNK_VALUES
+        # the head block, the last and the next chunk and its wrap temporary, a
+        # block of values and two digits_to_values temporaries, and at most 600
+        # bytes a value of one write: below formatting a whole block at once
+        bound = 4 * digits + 3 * floats + 600 * pointgen.CSV_CHUNK_VALUES + SLACK
+        assert bound < 600 * floats // 8
         assert peak <= bound
