@@ -33,6 +33,7 @@ driven by the literal subset-sum criterion (polylat.oracle.direct_criterion).
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -156,6 +157,14 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         raise ValueError("need at least one dimension")
     if modulus is None:
         modulus = find_irreducible(b, m)
+    if s_max > J:
+        # U and X each hold alpha(s-J)+1 rows of b^m doubles
+        need = 2 * (alpha * (s_max - J) + 1) * b**modulus.m * 8
+        if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ValueError(
+                f"SPOD buffers for s={s_max}, m={modulus.m} need {need / 2**30:.1f} GiB, "
+                "more than the physical memory"
+            )
     timings = dict.fromkeys(("omega_matrix", "product", "spod_recursion", "scoring"), 0.0)
     t_phase = time.perf_counter()
     matrix = OmegaMatrix(modulus, alpha)

@@ -142,13 +142,16 @@ def _parse_lambda_grid(grid) -> list:
         raise UsageError(f"field 'lambda_grid': {exc}") from exc
 
 
-def _parse_m_range(text: str) -> list:
+def _parse_m_range(value) -> list:
+    """m values from "6:13", "6,8,10" or a config file's list of integers."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
+        if isinstance(value, list):
+            out = value
+        elif ":" in value:
+            lo, hi = value.split(":")
             out = list(range(int(lo), int(hi) + 1))
         else:
-            out = [int(tok) for tok in text.split(",") if tok.strip()]
+            out = [int(tok) for tok in value.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"field 'm_range': {exc}") from exc
     if not out or any(m2 <= m1 for m1, m2 in zip(out, out[1:])):
@@ -218,6 +221,12 @@ def _check_file_values(data: dict, actions: dict) -> dict:
             continue
         if name == "use_prime_constant" and isinstance(value, bool):
             value = "on" if value else "off"
+        if isinstance(action, argparse._StoreTrueAction) and not isinstance(value, bool):
+            raise UsageError(f"field '{name}': need true or false, got {value!r}")
+        if name == "m_range" and not isinstance(value, str) and not (
+            isinstance(value, list) and all(type(v) is int for v in value)
+        ):
+            raise UsageError(f"field 'm_range': need integer m values, got {value!r}")
         if action.type is not None:
             try:
                 value = action.type(str(value))
@@ -251,7 +260,7 @@ def resolve_config(argv) -> RunConfig:
         values.update((k, v) for k, v in source.items() if v is not None)
     if "lambda_grid" in values:
         values["lambda_grid"] = _parse_lambda_grid(values["lambda_grid"])
-    if isinstance(values.get("m_range"), str):
+    if "m_range" in values:
         values["m_range"] = _parse_m_range(values["m_range"])
     if "use_prime_constant" in values:
         values["use_prime_constant"] = values["use_prime_constant"] == "on"

@@ -116,15 +116,7 @@ def poly_add(a: GfPoly, c: GfPoly) -> GfPoly:
 def poly_mul(a: GfPoly, c: GfPoly) -> GfPoly:
     """Plain polynomial product in Z_b[x]."""
     _check_same_base(a, c)
-    if a.is_zero() or c.is_zero():
-        return GfPoly.zero(a.b)
-    out = [0] * (len(a.coeffs) + len(c.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(c.coeffs):
-            out[i + j] = (out[i + j] + x * y) % a.b
-    return GfPoly(a.b, tuple(out))
+    return GfPoly(a.b, tuple(v % a.b for v in _mul(a.coeffs, c.coeffs)))
 
 
 def poly_divmod(a: GfPoly, d: GfPoly):
@@ -132,20 +124,8 @@ def poly_divmod(a: GfPoly, d: GfPoly):
     _check_same_base(a, d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    b = a.b
-    inv_lead = pow(d.coeffs[-1], b - 2, b)
-    rem = list(a.coeffs)
-    dd = len(d.coeffs) - 1
-    if len(rem) - 1 < dd:
-        return GfPoly.zero(b), a
-    quot = [0] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        coef = (rem[k] * inv_lead) % b
-        if coef:
-            quot[k - dd] = coef
-            for i, y in enumerate(d.coeffs):
-                rem[k - dd + i] = (rem[k - dd + i] - coef * y) % b
-    return GfPoly(b, tuple(quot)), GfPoly(b, tuple(rem))
+    quot, rem = _divmod(a.coeffs, d.coeffs, a.b)
+    return GfPoly(a.b, tuple(quot)), GfPoly(a.b, tuple(rem))
 
 
 def poly_mod(a: GfPoly, d: GfPoly) -> GfPoly:
@@ -155,22 +135,24 @@ def poly_mod(a: GfPoly, d: GfPoly) -> GfPoly:
 def is_irreducible(p: GfPoly) -> bool:
     """True iff p has no nontrivial factorization over Z_b.
 
-    Brute-force trial division by every monic polynomial of degree up to
-    deg(p)/2; degrees stay small here (m <= ~20), so no probabilistic
-    test is needed.
+    Ben-Or's test.  x^(b^k) - x is the product of the monic irreducibles
+    whose degree divides k, so p of degree m is reducible iff
+    gcd(x^(b^k) - x, p) != 1 for some k <= m/2.  h = x^(b^k) mod p takes
+    one b-th power per k: at most m/2 powerings of O(m^2 log b) coefficient
+    operations and as many Euclidean gcds, stopping at the smallest
+    factor degree of a reducible p.
     """
     deg = p.degree
     if deg == NEG_INF or deg < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    if deg == 1:
-        return True
-    b = p.b
-    for ddeg in range(1, deg // 2 + 1):
-        # monic divisors of degree ddeg, enumerated by their lower coefficients
-        for low in range(b**ddeg):
-            div = GfPoly.from_int(b, low + b**ddeg)
-            if poly_mod(p, div).is_zero():
-                return False
+    b, P = p.b, p.coeffs
+    h = [0, 1]
+    for _ in range(deg // 2):
+        h = _powmod(h, b, P, b)
+        g = h + [0] * (2 - len(h))
+        g[1] = (g[1] - 1) % b
+        if not _coprime(_trim(g), P, b):
+            return False
     return True
 
 
@@ -263,7 +245,7 @@ def laurent_digits(n_poly: GfPoly, q: GfPoly, modulus: Modulus, precision: int) 
     m = modulus.m
     p_coeffs = modulus.poly.coeffs
     inv_lead = pow(p_coeffs[-1], b - 2, b)
-    rem = list(poly_mod(poly_mul(n_poly, q), modulus.poly).coeffs)
+    rem = _mulmod(n_poly.coeffs, q.coeffs, p_coeffs, b)
     rem += [0] * (m - len(rem))
     digits = []
     for _ in range(precision):
@@ -307,27 +289,16 @@ def primitive_element(modulus: Modulus) -> GfPoly:
     factors = _prime_factors(order)
     for enc in range(1, b**m):
         g = GfPoly.from_int(b, enc)
-        if all(_poly_pow_mod(g, order // f, modulus).coeffs != (1,) for f in factors):
+        if all(_powmod(g.coeffs, order // f, modulus.poly.coeffs, b) != [1] for f in factors):
             return g
     raise AssertionError("unreachable: the multiplicative group is cyclic")
-
-
-def _poly_pow_mod(g: GfPoly, e: int, modulus: Modulus) -> GfPoly:
-    result = GfPoly.one(g.b)
-    base = poly_mod(g, modulus.poly)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base), modulus.poly)
-        base = poly_mod(poly_mul(base, base), modulus.poly)
-        e >>= 1
-    return result
 
 
 def poly_mul_mod(a: GfPoly, c: GfPoly, modulus: Modulus) -> GfPoly:
     """(a*c) mod P, degree < m."""
     if a.b != modulus.b or c.b != modulus.b:
         raise ValueError("base mismatch with modulus")
-    return poly_mod(poly_mul(a, c), modulus.poly)
+    return GfPoly(modulus.b, tuple(_mulmod(a.coeffs, c.coeffs, modulus.poly.coeffs, modulus.b)))
 
 
 def poly_to_string(p: GfPoly) -> str:
@@ -354,11 +325,69 @@ def poly_from_string(b: int, s: str) -> GfPoly:
 
 def mul_mod_matrix(q: GfPoly, modulus: Modulus) -> np.ndarray:
     """(m x m) matrix M over Z_b mapping coeffs(r) to coeffs(r*q mod P)."""
-    m = modulus.m
+    if q.b != modulus.b:
+        raise ValueError("base mismatch with modulus")
+    b, m, p = modulus.b, modulus.m, modulus.poly.coeffs
     M = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        basis = GfPoly(modulus.b, (0,) * i + (1,))
-        prod = poly_mul_mod(basis, q, modulus)
-        col = list(prod.coeffs) + [0] * (m - len(prod.coeffs))
-        M[:, i] = col
+    col = _divmod(q.coeffs, p, b)[1]
+    for i in range(m):  # column i holds x^i q mod P
+        M[: len(col), i] = col
+        col = _mulmod(col, (0, 1), p, b)
     return M
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic core: little-endian coefficient lists of Python ints, with
+# no GfPoly built or validated inside a loop.  Every exact product mod P
+# (and Ben-Or's powerings and gcds) runs through _mulmod and _divmod.
+
+
+def _trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _mul(a, c) -> list:
+    """Schoolbook product; coefficients are left unreduced mod b."""
+    out = [0] * (len(a) + len(c) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(c)] = [o + x * y for o, y in zip(out[i : i + len(c)], c)]
+    return out
+
+
+def _divmod(a, d, b: int):
+    """Trimmed quotient and remainder of a by d over Z_b (d trimmed, nonzero)."""
+    n = len(d) - 1
+    inv_lead = pow(d[-1], b - 2, b)
+    rem = list(a)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(rem) - 1, n - 1, -1):
+        t = rem[k] * inv_lead % b
+        if t:
+            quot[k - n] = t
+            rem[k - n : k] = [r - t * y for r, y in zip(rem[k - n : k], d)]
+    return _trim(quot), _trim([r % b for r in rem[:n]])
+
+
+def _mulmod(a, c, p, b: int) -> list:
+    """(a*c) mod p over Z_b."""
+    return _divmod(_mul(a, c), p, b)[1]
+
+
+def _powmod(a, e: int, p, b: int) -> list:
+    """a^e mod p for e >= 1, by left-to-right square-and-multiply."""
+    a = out = _divmod(a, p, b)[1]
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, p, b)
+        if bit == "1":
+            out = _mulmod(out, a, p, b)
+    return out
+
+
+def _coprime(a: list, p, b: int) -> bool:
+    """gcd(a, p) == 1, by Euclid's algorithm (a trimmed, p nonzero)."""
+    while a:
+        a, p = _divmod(p, a, b)[1], a
+    return len(p) == 1

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polylat import cbc
 from polylat.cbc import (
     CbcResult,
     NonFiniteScoreError,
@@ -380,6 +381,21 @@ class TestCostLog:
         for s, units in res.cost.spod_update_units.items():
             assert units == spec.alpha * (s - spec.J) * N
 
+    def test_counts_scale_on_a_doubling_grid(self):
+        # b=2, m=4: assembly is quadratic in s-J, the search linear in s
+        alpha, N = 2, 16
+        totals = []
+        for J, s_max in [(0, 8), (0, 16), (0, 32), (3, 11)]:
+            res = fast_cbc(spec_with(J=J), 4, s_max)
+            want = N * sum(min(alpha, ell) for s in range(J + 1, s_max + 1)
+                           for ell in range(1, alpha * (s - J) + 1))
+            assert sum(res.cost.spod_assembly_units.values()) == want
+            assert len(res.cost.search_units) == alpha * s_max
+            totals.append(want)
+        assert totals[3] == totals[0]  # only s - J matters
+        r1, r2 = totals[1] / totals[0], totals[2] / totals[1]
+        assert 3.8 < r1 < r2 < 4.0
+
     def test_memory_note_fields_exist(self):
         res = fast_cbc(spec_with(J=0), 3, 2)
         assert res.cost.n_points == 8
@@ -387,6 +403,15 @@ class TestCostLog:
         assert set(res.timings) == phases
         assert all(t >= 0.0 for t in res.timings.values())
         assert sum(t for k, t in res.timings.items() if k != "total") <= res.timings["total"]
+
+
+class TestMemoryGuard:
+    def test_refuses_spod_buffers_beyond_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(cbc, "OmegaMatrix", None)  # refused before the table is built
+        with pytest.raises(ValueError) as exc:
+            fast_cbc(spec_with(J=0), 4, 10**12)  # 2 (2e12 + 1) 16 doubles: ~466 TiB
+        assert "s=1000000000000" in str(exc.value) and "m=4" in str(exc.value)
+        assert "GiB" in str(exc.value)
 
 
 class TestRescoredCount:

@@ -503,6 +503,35 @@ class TestConfigFileValues:
             assert "invalid config: field 'm'" in err
 
 
+    CONVERGE = ["converge", "--s", "2", "--alpha", "2", "--J", "2", "--p", "0.55"]
+
+    def test_converge_mc_baseline_takes_only_a_boolean(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "convergence_study", None)  # must not be reached
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mc_baseline": "no"}))
+        code, _, err = run(self.CONVERGE + ["--m-range", "3:5", "--config", str(cfgfile)],
+                           capsys)
+        assert code == 1
+        assert "invalid config: field 'mc_baseline'" in err
+
+    def test_selftest_inject_fault_takes_only_a_boolean(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"inject_fault": "no"}))
+        code, _, err = run(["selftest", "--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'inject_fault'" in err
+
+    @pytest.mark.parametrize("value", [[3.5, 5], [True, 5], 5, [], [5, 3]])
+    def test_converge_m_range_must_be_increasing_integers(self, tmp_path, capsys, monkeypatch,
+                                                          value):
+        monkeypatch.setattr(cli, "convergence_study", None)  # must not be reached
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"m_range": value}))
+        code, _, err = run(self.CONVERGE + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'm_range'" in err
+
+
 class TestUsePrimeConstant:
     @pytest.mark.parametrize("value,want", [("on", True), ("off", False), (True, True),
                                             (False, False)])

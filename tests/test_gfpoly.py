@@ -131,6 +131,23 @@ class TestIrreducibility:
             p = GfPoly.from_int(b, rng.randrange(b**m, b ** (m + 1)))
             assert is_irreducible(p) == _is_irreducible_bruteforce(p)
 
+    @pytest.mark.parametrize("b,mmax", [(3, 4), (5, 3), (7, 2)])
+    def test_non_monic_against_bruteforce(self, b, mmax):
+        for m in range(1, mmax + 1):
+            for lead in range(2, b):
+                for low in range(b**m):
+                    p = GfPoly.from_int(b, low + lead * b**m)
+                    assert is_irreducible(p) == _is_irreducible_bruteforce(p)
+
+    @pytest.mark.parametrize("b,mmax", [(2, 12), (3, 7), (5, 5), (7, 4)])
+    def test_counts_match_gauss_formula(self, b, mmax):
+        # monic irreducibles of degree m: (1/m) sum_{d | m} mu(d) b^(m/d)
+        mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0, 9: 0, 10: 1, 11: -1, 12: 0}
+        for m in range(1, mmax + 1):
+            want = sum(mu[d] * b ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+            got = sum(is_irreducible(GfPoly.from_int(b, low + b**m)) for low in range(b**m))
+            assert got == want, m
+
 
 class TestFindIrreducible:
     def test_hand_examples(self):
@@ -146,6 +163,15 @@ class TestFindIrreducible:
             enc = mod.poly.to_int()
             for smaller in range(b**m, enc):
                 assert not is_irreducible(GfPoly.from_int(b, smaller))
+
+    @pytest.mark.parametrize("b,m,want", [
+        (2, 12, "1000000001001"), (2, 16, "10000000000101011"),
+        (2, 18, "1000000000000001001"), (2, 20, "100000000000000001001"),
+        (3, 9, "1000002101"), (3, 12, "1000000000102"), (5, 8, "100000002"), (7, 6, "1000002"),
+    ])
+    def test_pinned_beyond_bruteforce_range(self, b, m, want):
+        # recorded by trial division, a method independent of Ben-Or's test
+        assert poly_to_string(find_irreducible(b, m).poly) == want
 
 
 class TestLaurentDigits:
@@ -216,6 +242,11 @@ class TestPrimitiveElement:
         assert primitive_element(Modulus(P(2, 1, 1, 1))) == GfPoly.x(2)
         assert primitive_element(find_irreducible(2, 1)) == GfPoly.one(2)
         assert primitive_element(find_irreducible(3, 1)) == P(3, 2)
+
+    def test_pinned_at_larger_m(self):
+        # recorded with GfPoly-object powering, independent of the coefficient-list core
+        assert primitive_element(find_irreducible(2, 12)) == P(2, 1, 1)
+        assert primitive_element(find_irreducible(3, 9)) == GfPoly.x(3)
 
     @pytest.mark.parametrize("b,m", [(2, 8), (3, 5), (5, 4), (2, 12)])
     def test_powers_enumerate_all_nonzero_residues(self, b, m):
