@@ -1,5 +1,7 @@
 """Kernel oracles: digit-weight values, omega shells, circulant structure, FFT."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,40 @@ def random_modulus(b, m, seed):
 COLUMN_MODULI = [(2, 4, None), (2, 7, None), (3, 4, None), (5, 3, None)]
 COLUMN_MODULI += [(2, 7, 0), (2, 7, 2), (3, 5, 0)]
 COLUMN_IDS = [f"{b}-{m}" + ("" if seed is None else f"-seed{seed}") for b, m, seed in COLUMN_MODULI]
+
+
+def random_multiply_cases(count, seed):
+    """Seeded (b, m, modulus seed) draws with b^m <= 343, for multiply_naive.
+
+    (2, 2) is left out: x^2 + x + 1 is the only irreducible quadratic over
+    Z_2, so random_modulus has nothing else to draw.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        b = int(rng.choice([2, 3, 5, 7]))
+        m = int(rng.integers(1, 9))
+        if b**m <= 343 and (b, m) != (2, 2):
+            cases.append((b, m, int(rng.integers(1 << 16))))
+    return cases
+
+
+MULTIPLY_CASES = random_multiply_cases(16, seed=10)
+
+# sha256 prefixes of (pow_enc, exp_of, _c2) for find_irreducible(b, m) at
+# alpha = 2, recorded from the int64 coefficient-table construction
+KERNEL_TABLE_DIGESTS = {
+    (2, 16): ("a9c0b9735a82fc72c5287527e2930d5f", "0f41fdce3eabda40cf3cdda317cab701",
+              "52e5675851e3cbf63dfd633be0a8ea9d"),
+    (3, 9): ("eaabbc0a039a44145992e925cd6be0ce", "cff042d612aaaba83fa974b660d97a76",
+             "c868ace79d9afa857df247547c293b36"),
+    (5, 6): ("46e0e83ab73fbe9641effea57dc067f7", "8ccafc2fa90db8e686d1bb986236167a",
+             "ca301a856e141b73d569c485a71073fc"),
+    (7, 5): ("c69917ea67c62c00115d6d32fac2ea4e", "0e8495f64ef1daa27fdc3cc1c25326cd",
+             "c634e491cfd1fdbf1dafdb60ef9d5341"),
+    (131, 2): ("3492803a11602742b774ffe54e8c3951", "9da8e5f48220883bea94d293810cecd3",
+               "144016d35b14d62603aba87dcfcc2e7b"),
+}
 
 
 class TestMuAlpha:
@@ -201,3 +237,18 @@ class TestOmegaMatrix:
         om = OmegaMatrix(find_irreducible(2, 5), 3)
         dense = np.column_stack([om.column(q) for q in range(1, om.size + 1)])
         assert np.allclose(dense, dense.T, atol=1e-15)
+
+    @pytest.mark.parametrize("b,m,seed", MULTIPLY_CASES)
+    def test_multiply_matches_naive_on_random_moduli(self, b, m, seed):
+        om = OmegaMatrix(random_modulus(b, m, seed), 2)
+        vec = np.random.default_rng(seed).standard_normal(om.size)
+        ref = multiply_naive(om, vec)
+        assert np.max(np.abs(om.multiply(vec) - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("b,m", sorted(KERNEL_TABLE_DIGESTS))
+    def test_tables_are_pinned(self, b, m):
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        assert om.pow_enc.dtype == om.exp_of.dtype == np.int64
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:32]
+                    for a in (om.pow_enc, om.exp_of, om._c2))
+        assert got == KERNEL_TABLE_DIGESTS[b, m]
