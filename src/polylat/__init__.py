@@ -28,7 +28,6 @@ from .pointgen import (
     classical_digit_array,
     digit_chunks,
     digits_to_values,
-    index_to_poly,
     interlace_digit_array,
     interlace_digits,
     interlaced_generator_matrices,

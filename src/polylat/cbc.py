@@ -177,10 +177,10 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
     chosen = []
     e_steps = []
 
-    def select(weight_full: np.ndarray, regime: str) -> GfPoly:
+    def select(weight_full: np.ndarray, regime: str) -> int:
         if not chosen:
             cost.search_units.append(search_unit)
-            return GfPoly.one(b)
+            return 1
         t_score = time.perf_counter()
         vec = weight_full[1:]
         scores = matrix.multiply(vec)
@@ -188,12 +188,12 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         enc, n_rescored = _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime)
         cost.rescored.append(n_rescored)
         timings["scoring"] += time.perf_counter() - t_score
-        return GfPoly.from_int(b, enc)
+        return enc
 
-    def full_column(qpoly: GfPoly) -> np.ndarray:
+    def full_column(enc: int) -> np.ndarray:
         col = np.empty(N)
         col[0] = omega0
-        col[1:] = matrix.column(qpoly)
+        col[1:] = matrix.column(enc)
         return col
 
     Y = np.ones(N)
@@ -202,9 +202,9 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         G_s = sum(math.factorial(nu) * order_weight(s, nu, spec) for nu in range(1, alpha + 1))
         V = np.ones(N)
         for _t in range(alpha):
-            q = select(V * Y, "product")
-            chosen.append(q)
-            V = V * (1.0 + full_column(q))
+            enc = select(V * Y, "product")
+            chosen.append(enc)
+            V = V * (1.0 + full_column(enc))
             e_steps.append(float(np.sum((1.0 + G_s * (V - 1.0)) * Y)) / N - 1.0)
         Y = (1.0 + G_s * (V - 1.0)) * Y
     timings["product"] = time.perf_counter() - t_phase - timings["scoring"]
@@ -248,16 +248,17 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             cost.spod_assembly_units[s] = N * sum(min(alpha, ell) for ell in range(1, L + 1))
             V = np.ones(N)
             for _t in range(alpha):
-                q = select(V * W * one_plus_S1, "SPOD")
-                chosen.append(q)
-                V = V * (1.0 + full_column(q))
+                enc = select(V * W * one_plus_S1, "SPOD")
+                chosen.append(enc)
+                V = V * (1.0 + full_column(enc))
                 S2 = S2_prev + (V - 1.0) * W
                 e_steps.append(float(np.sum(S1 + S2 * one_plus_S1)) / N)
             np.subtract(V, 1.0, out=vm1)
             L_prev = L
         timings["spod_recursion"] = time.perf_counter() - t_phase - (timings["scoring"] - scored)
 
-    gv = GeneratingVector(modulus=modulus, alpha=alpha, q=tuple(chosen))
+    q = tuple(GfPoly.from_int(b, enc) for enc in chosen)
+    gv = GeneratingVector(modulus=modulus, alpha=alpha, q=q)
     timings["total"] = time.perf_counter() - t0
     return CbcResult(
         gen_vector=gv,

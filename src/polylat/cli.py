@@ -76,7 +76,6 @@ class RunConfig:
     seed: int = 2026
     mc_baseline: bool = False
     gv: str | None = None
-    inject_fault: bool = False
     # names of the options the command reads, taken from its parser
     options: tuple = ()
 
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--scale", type=float, help="product-exponential scale factor")
     cv.add_argument("--c0", type=float, help="rational family pole offset")
     cv.add_argument("--mc-baseline", dest="mc_baseline", action="store_true", default=None)
-    st.add_argument("--inject-fault", dest="inject_fault", action="store_true", default=None)
     return parser
 
 
@@ -451,7 +449,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 # -- selftest ------------------------------------------------------------------
 
 
-def run_selftest(inject_fault: bool = False, seed: int = 2026) -> dict:
+def run_selftest(seed: int = 2026) -> dict:
     """Oracle suite: fast-vs-slow CBC, FFT-vs-naive, direct-criterion, bounds."""
     from .oracle import criterion_from_columns, multiply_naive, pure_omega_column, slow_cbc
 
@@ -504,9 +502,6 @@ def run_selftest(inject_fault: bool = False, seed: int = 2026) -> dict:
             cols = [
                 pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)
             ]
-            if inject_fault and d == gv.d:
-                cols[0] = cols[0].copy()
-                cols[0][1] += 0.05  # one perturbed omega value must be caught
             ref = criterion_from_columns(cols, spec)
             worst = max(
                 worst, abs(fast.criterion_per_step[d - 1] - ref) / max(abs(ref), 1e-300)
@@ -532,7 +527,7 @@ def run_selftest(inject_fault: bool = False, seed: int = 2026) -> dict:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
-    report = run_selftest(inject_fault=cfg.inject_fault, seed=cfg.seed)
+    report = run_selftest(seed=cfg.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 2
 

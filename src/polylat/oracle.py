@@ -15,7 +15,7 @@ import numpy as np
 from .cbc import CbcResult, CostLog
 from .gfpoly import DigitVector, GfPoly, Modulus, find_irreducible, laurent_digits
 from .kernel import OmegaMatrix, omega_at_position
-from .pointgen import GeneratingVector, index_to_poly
+from .pointgen import GeneratingVector
 from .weights import WeightSpec, _block_factor, _fact, _order_poly, _product_order_sum
 
 # direct-criterion guard rails: 2^d subsets, table of 2^d x N products
@@ -64,7 +64,7 @@ def pure_omega_column(modulus: Modulus, q: GfPoly, alpha: int) -> np.ndarray:
     b, m = modulus.b, modulus.m
     out = np.empty(b**m)
     for n in range(b**m):
-        dv = laurent_digits(index_to_poly(n, b), q, modulus, m)
+        dv = laurent_digits(GfPoly.from_int(b, n), q, modulus, m)
         out[n] = omega(dv, alpha)
     return out
 

@@ -15,9 +15,10 @@ has its own generating matrices G_k, of shape (alpha*m, m), whose rows are
 the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so points come
 straight from G without a classical digit cube or an interlacing pass.  They
 are made in blocks of R = b^r points bounded by CHUNK_BYTES: a head block of
-points 0 .. R - 1 is filled once by b-adic doubling (points t b^k .. (t+1)
-b^k - 1 are points 0 .. b^k - 1 plus t times column k of G), and the block
-starting at point t R is the head block plus G times the digits of t R.
+points 0 .. R - 1 is filled once by b-adic doubling (gfpoly.fill_by_doubling:
+points t b^k .. (t+1) b^k - 1 are points 0 .. b^k - 1 plus t times column k
+of G), and the block starting at point t R is the head block plus G times the
+digits of t R.
 Memory is bounded by the block, not by N.
 """
 
@@ -31,19 +32,11 @@ from .gfpoly import (
     DigitVector,
     GfPoly,
     Modulus,
-    check_prime_base,
+    fill_by_doubling,
     laurent_digits,
     poly_from_string,
     poly_to_string,
 )
-
-
-def index_to_poly(n: int, b: int) -> GfPoly:
-    """The polynomial n(x) = sum eta_r x^r for n = sum eta_r b^r."""
-    if n < 0:
-        raise ValueError("point index must be nonnegative")
-    check_prime_base(b)
-    return GfPoly.from_int(b, n)
 
 
 @dataclass(frozen=True)
@@ -181,24 +174,6 @@ def interlaced_generator_matrices(gv: GeneratingVector) -> np.ndarray:
     return C.reshape(s, alpha, m, m).transpose(0, 2, 1, 3).reshape(s, alpha * m, m)
 
 
-def _fill_by_doubling(out: np.ndarray, G: np.ndarray, b: int):
-    """Digits of points 0 .. len(out) - 1 into out, with out[0] = 0 given.
-
-    Row n of out is G @ (digits of n) mod b, where G has shape (..., r) and
-    len(out) = b^r: rows [t b^k, (t+1) b^k) are rows [0, b^k) plus t times
-    column k of G.  The digit sums stay in uint8, so b < 128.
-    """
-    size = 1
-    for k in range(G.shape[-1]):
-        for t in range(1, b):
-            step = (t * G[..., k] % b).astype(np.uint8)  # t*G passes 255 at b = 17
-            dst = out[t * size : (t + 1) * size]
-            # x + c < 2b <= 256, and x + c - b wraps above x + c exactly when x + c < b
-            np.add(out[:size], step, out=dst)
-            np.minimum(dst, dst - np.uint8(b), out=dst)
-        size *= b
-
-
 def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     """Digits of the classical point set, shape (N, d, m), dtype uint8.
 
@@ -208,7 +183,7 @@ def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     """
     C = _generator_matrices(gv)
     out = np.zeros((gv.n_points, gv.d, gv.m), dtype=np.uint8)
-    _fill_by_doubling(out, C, gv.b)
+    fill_by_doubling(out, C, gv.b)
     return out
 
 
@@ -228,7 +203,7 @@ def digit_chunks(gv: GeneratingVector):
     while r < m and b ** (r + 1) * G.shape[0] * G.shape[1] <= CHUNK_BYTES:
         r += 1
     head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
-    _fill_by_doubling(head, G[..., :r], b)
+    fill_by_doubling(head, G[..., :r], b)
     high = G[..., r:]
     for t in range(b ** (m - r)):
         digits = np.array([t // b**k % b for k in range(m - r)], dtype=np.int64)
@@ -300,7 +275,7 @@ def point_for_index(gv: GeneratingVector, n: int) -> DigitPoint:
 
     Slower than the bulk path; serves as its independent cross-check.
     """
-    npoly = index_to_poly(n, gv.b)
+    npoly = GfPoly.from_int(gv.b, n)
     coords = tuple(laurent_digits(npoly, qj, gv.modulus, gv.m) for qj in gv.q)
     return DigitPoint(coords)
 

@@ -9,7 +9,7 @@ Two families cover the two weight regimes the constructions target:
   (|d^nu g| = |nu|! prod b_j^{nu_j} |g|^{|nu|+1} up to scaling), with a
   reference integral from its Laplace representation 1/a = int_0^inf
   e^{-a t} dt, under which the cube integral factorises into one
-  one-dimensional Gauss-Legendre quadrature over t.
+  one-dimensional composite Gauss-Legendre quadrature in log t.
 
 Quadrature means use exact compensated summation (math.fsum), so results
 are independent of evaluation order.
@@ -74,7 +74,8 @@ def product_exponential(beta: DecaySequence, s: int, scale: float = 1.0) -> Inte
     )
 
 
-REFERENCE_NODES = 64  # Gauss-Legendre nodes; the reference is checked against twice as many
+REFERENCE_NODES = 64  # Gauss-Legendre nodes per panel; checked against twice as many
+REFERENCE_PANELS = 8
 
 
 def _rational_reference(b_head: np.ndarray, c0: float, n: int = REFERENCE_NODES) -> float:
@@ -83,18 +84,22 @@ def _rational_reference(b_head: np.ndarray, c0: float, n: int = REFERENCE_NODES)
     With a = c0 - sum b_j y_j > 0, 1/a = int_0^inf e^{-a t} dt and the cube
     integral of e^{t sum b_j y_j} factorises, so the integral is
     int_0^inf e^{-a0 t} prod_j (1 - e^{-b_j t})/(b_j t) dt, a0 = c0 - sum b_j,
-    with a factor of 1 wherever b_j = 0.  It is taken with n Gauss-Legendre
-    nodes after the substitution t = u / ((1 - u) a0), u in [0, 1).
+    with a factor of 1 wherever b_j = 0.  The integrand is 1 - O(c0 t) near
+    0 and below e^{-a0 t}, so it is t_lo = 1e-17/c0 plus the integral over
+    [t_lo, 60/a0], taken in v = log t, where the decays at t ~ 1/b_j and
+    t ~ 1/a0 are each a few units wide however close a0 is to 0, with
+    REFERENCE_PANELS equal panels of n Gauss-Legendre nodes.
     """
     b = b_head[b_head != 0.0]
     a0 = c0 - float(np.sum(b))
+    t_lo = 1e-17 / c0
+    edges = np.linspace(math.log(t_lo), math.log(60.0 / a0), REFERENCE_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
     nodes, weights = legendre.leggauss(n)
-    u = 0.5 * (nodes + 1.0)
-    t = u / ((1.0 - u) * a0)
+    t = np.exp(edges[:-1, None] + half * (nodes + 1.0)).ravel()
     bt = np.multiply.outer(b, t)
     factors = np.prod(-np.expm1(-bt) / bt, axis=0)
-    jacobian = 0.5 * weights / ((1.0 - u) ** 2 * a0)
-    return float(np.sum(jacobian * np.exp(-u / (1.0 - u)) * factors))
+    return t_lo + float(np.sum((half * weights).ravel() * t * np.exp(-a0 * t) * factors))
 
 
 def _make_rational(b_head: np.ndarray, c0: float) -> Integrand:

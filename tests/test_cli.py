@@ -297,8 +297,27 @@ class TestSelftest:
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
 
-    def test_injected_fault_detected(self, capsys):
-        code, out, _ = run(["selftest", "--inject-fault"], capsys)
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        # one perturbed omega value in every long-division column must be
+        # caught; slow_cbc keeps the true columns, so only the direct
+        # criterion sees the fault
+        from polylat import oracle
+
+        true_column, true_slow_cbc = oracle.pure_omega_column, oracle.slow_cbc
+
+        def perturbed_column(modulus, q, alpha):
+            col = true_column(modulus, q, alpha)
+            col[1] += 0.05
+            return col
+
+        def slow_cbc(*args, **kwargs):
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "pure_omega_column", true_column)
+                return true_slow_cbc(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "pure_omega_column", perturbed_column)
+        monkeypatch.setattr(oracle, "slow_cbc", slow_cbc)
+        code, out, _ = run(["selftest"], capsys)
         assert code == 2
         doc = json.loads(out)
         assert doc["ok"] is False
@@ -378,7 +397,7 @@ OPTIONS = {
     "bounds": WEIGHT_OPTIONS | {"m", "lambda_grid", "format"},
     "converge": WEIGHT_OPTIONS | {"m_range", "family", "scale", "c0", "mc_baseline", "out",
                                   "seed"},
-    "selftest": {"inject_fault", "seed"},
+    "selftest": {"seed"},
 }
 
 
@@ -513,13 +532,6 @@ class TestConfigFileValues:
                            capsys)
         assert code == 1
         assert "invalid config: field 'mc_baseline'" in err
-
-    def test_selftest_inject_fault_takes_only_a_boolean(self, tmp_path, capsys):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"inject_fault": "no"}))
-        code, _, err = run(["selftest", "--config", str(cfgfile)], capsys)
-        assert code == 1
-        assert "invalid config: field 'inject_fault'" in err
 
     @pytest.mark.parametrize("value", [[3.5, 5], [True, 5], 5, [], [5, 3]])
     def test_converge_m_range_must_be_increasing_integers(self, tmp_path, capsys, monkeypatch,

@@ -14,7 +14,6 @@ from polylat.gfpoly import (
     poly_add,
     poly_divmod,
     poly_from_string,
-    poly_mod,
     poly_mul,
     poly_mul_mod,
     poly_to_string,
@@ -106,7 +105,7 @@ def _is_irreducible_bruteforce(p):
     for ddeg in range(1, deg):
         for low in range(b**ddeg):
             div = GfPoly.from_int(b, low + b**ddeg)
-            if poly_mod(p, div).is_zero():
+            if poly_divmod(p, div)[1].is_zero():
                 return False
     return True
 
@@ -191,24 +190,21 @@ class TestLaurentDigits:
 
     @pytest.mark.parametrize("b,m", [(2, 4), (3, 3), (5, 2)])
     def test_reconstruction(self, b, m):
-        # sum t_l x^{-l} * P must agree with n*q on all coefficients of
-        # degree > deg(nq) - L; check by clearing denominators:
-        # n*q*x^L  ==  (sum t_l x^{L-l}) * P + r with deg r < deg(P) ... i.e.
-        # floor-division of n*q*x^L by P has quotient whose low L coefficients
-        # are t_L..t_1 (plus the polynomial part above).
+        # by multiplication alone: for r = n*q of degree < m, the digits give
+        # T = sum t_l x^{L-l}, the quotient of r x^L by P, so r x^L - T P has
+        # degree < m
         rng = random.Random(3)
         mod = find_irreducible(b, m)
         L = 6
+        x_L = GfPoly(b, (0,) * L + (1,))
+        minus_one = GfPoly(b, (b - 1,))
         for _ in range(25):
-            n = GfPoly.from_int(b, rng.randrange(0, b**m))
-            q = GfPoly.from_int(b, rng.randrange(1, b**m))
-            dv = laurent_digits(n, q, mod, L)
-            shifted = poly_mul(poly_mul(n, q), GfPoly(b, (0,) * L + (1,)))
-            quotient, _ = poly_divmod(shifted, mod.poly)
-            # digit l is the coefficient of x^{L-l} in floor(n*q*x^L / P)
-            for ell in range(1, L + 1):
-                coeff = quotient.coeffs[L - ell] if L - ell < len(quotient.coeffs) else 0
-                assert coeff == dv.digits[ell - 1]
+            a = rng.randrange(1, m + 1)  # deg n <= a - 1, deg q <= m - a
+            n = GfPoly.from_int(b, rng.randrange(0, b**a))
+            q = GfPoly.from_int(b, rng.randrange(1, b ** (m - a + 1)))
+            T = GfPoly(b, tuple(reversed(laurent_digits(n, q, mod, L).digits)))
+            minus_TP = poly_mul(poly_mul(T, mod.poly), minus_one)
+            assert poly_add(poly_mul(poly_mul(n, q), x_L), minus_TP).degree < m
 
 
 class TestTruncation:

@@ -15,7 +15,6 @@ from polylat.gfpoly import (
 )
 from polylat.kernel import OmegaMatrix, omega_at_position
 from polylat.oracle import mu_alpha, multiply_naive, omega, pure_omega_column
-from polylat.pointgen import index_to_poly
 
 
 def random_modulus(b, m, seed):
@@ -139,7 +138,7 @@ class TestOmegaColumn:
         q = GfPoly.from_int(2, 9)
         col = OmegaMatrix(mod, 2).column(q)
         for n in range(1, 16):
-            dv = laurent_digits(index_to_poly(n, 2), q, mod, 4)
+            dv = laurent_digits(GfPoly.from_int(2, n), q, mod, 4)
             assert col[n - 1] == pytest.approx(omega(dv, 2), abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [2, 3])

@@ -16,7 +16,6 @@ from polylat.pointgen import (
     classical_digit_array,
     digit_chunks,
     digits_to_values,
-    index_to_poly,
     interlace_digit_array,
     interlace_digits,
     lattice_points,
@@ -35,16 +34,18 @@ def make_gv(b, m, encs, alpha=1):
 
 
 class TestIndexToPoly:
+    """Point index n = sum eta_r b^r as the polynomial sum eta_r x^r, GfPoly.from_int."""
+
     def test_zero(self):
-        assert index_to_poly(0, 2).is_zero()
+        assert GfPoly.from_int(2, 0).is_zero()
 
     def test_binary_and_ternary_readoff(self):
-        assert index_to_poly(5, 2) == GfPoly(2, (1, 0, 1))  # x^2+1
-        assert index_to_poly(5, 3) == GfPoly(3, (2, 1))  # x+2
+        assert GfPoly.from_int(2, 5) == GfPoly(2, (1, 0, 1))  # x^2+1
+        assert GfPoly.from_int(3, 5) == GfPoly(3, (2, 1))  # x+2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            index_to_poly(-1, 2)
+            GfPoly.from_int(2, -1)
 
 
 class TestClassicalPoints:
