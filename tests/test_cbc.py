@@ -448,7 +448,133 @@ class TestSidecar:
         res = fast_cbc(spec, 3, 2)
         check = verify_bound(res, spec)
         doc = res.sidecar_dict(bound_check=check)
-        assert set(doc) == {"E_per_step", "J", "timings", "bound_check"}
+        assert set(doc) == {"E_per_step", "J", "timings", "bound_check", "spod_order_cap",
+                            "spod_rerun"}
         assert doc["timings"] == res.timings
         assert len(doc["E_per_step"]) == res.d
         assert doc["bound_check"]["ok"] is True
+        assert doc["spod_order_cap"] is None and doc["spod_rerun"] is False
+
+    def test_sidecar_reports_the_order_cap(self):
+        res = fast_cbc(spec_with(J=0), 3, 120)
+        doc = res.sidecar_dict()
+        assert doc["spod_order_cap"] == res.cost.spod_order_cap > 0
+        assert doc["spod_rerun"] is False
+
+
+def _outputs(res):
+    return ([q.to_int() for q in res.gen_vector.q],
+            [float(e).hex() for e in res.criterion_per_step])
+
+
+def capped_cases(n_cases, seed):
+    """Seeded (b, m, alpha, J, s, beta) draws long enough for the order cap."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n_cases):
+        b, alpha = [(2, 2), (2, 3), (3, 2), (3, 3)][i % 4]
+        m = int(rng.integers(3, 5)) if b == 2 else int(rng.integers(2, 4))
+        J = int(rng.integers(0, 11))
+        s = int(rng.integers(100, 201))
+        c, theta = float(rng.uniform(0.2, 0.8)), float(rng.uniform(2.0, 3.0))
+        beta = DecaySequence.power(c, theta, p=0.6)
+        cases.append((b, m, alpha, J, s, beta))
+    return cases
+
+
+class TestOrderCap:
+    """The SPOD sweep's order cap changes no bit of any vector or criterion."""
+
+    @pytest.mark.parametrize("b,m,alpha,J,s,beta", capped_cases(6, seed=13))
+    def test_capped_matches_uncapped(self, monkeypatch, b, m, alpha, J, s, beta):
+        spec = WeightSpec(alpha=alpha, b=b, J=J, beta=beta)
+        capped = fast_cbc(spec, m, s)
+        K = capped.cost.spod_order_cap
+        assert K is not None and K < alpha * (s - J) and not capped.cost.spod_rerun
+        # blocks past the cap sweep K rows, whatever their order
+        N = capped.gen_vector.n_points
+        assert capped.cost.spod_assembly_units[s] == N * sum(min(alpha, l) for l in range(1, K + 1))
+        assert capped.cost.spod_update_units[s - 1] == K * N
+        monkeypatch.setattr(cbc, "_CAP_MARGIN", 0.0)
+        full = fast_cbc(spec, m, s)
+        assert full.cost.spod_order_cap is None
+        assert _outputs(capped) == _outputs(full)
+
+    def test_certificate_bounds_the_skipped_rows(self, monkeypatch):
+        # replay the full recursion: at every capped block, A and xtail bound
+        # the U and X rows the sweep never formed, point by point
+        spec, alpha, s_max = spec_with(J=0), 2, 150
+        seen = {}
+        certify = cbc._certify_cap
+
+        def spy(U_rows, K, A, gval, L, W, S2_prev):
+            xtail = certify(U_rows, K, A, gval, L, W, S2_prev)
+            seen[L // alpha] = (K, A.copy(), xtail.copy())
+            return xtail
+
+        monkeypatch.setattr(cbc, "_certify_cap", spy)
+        res = fast_cbc(spec, 4, s_max)
+        assert len(seen) > 50
+        gv = res.gen_vector
+        om = OmegaMatrix(gv.modulus, alpha)
+        N = gv.n_points
+        col = np.empty(N)
+        col[0] = omega_at_position(None, alpha, 2)
+        U = np.zeros((alpha * s_max + 1, N))
+        U[0] = 1.0
+        for s in range(1, s_max + 1):
+            L = alpha * s
+            X = np.zeros((L + 1, N))
+            for ell in range(1, L + 1):
+                for nu in range(1, min(alpha, ell) + 1):
+                    X[ell] += order_weight(s, nu, spec) * math.perm(ell, nu) * U[ell - nu]
+            if s in seen:
+                K, A, xtail = seen[s]
+                assert np.all(np.abs(U[K + 1 :]).sum(axis=0) <= A * (1 + 1e-12)), s
+                assert np.all(np.abs(X[K + 1 :]).sum(axis=0) <= xtail * (1 + 1e-12)), s
+            V = np.ones(N)
+            for q in gv.q[(s - 1) * alpha : s * alpha]:
+                col[1:] = om.column(q.to_int())
+                V *= 1.0 + col
+            U[1 : L + 1] += (V - 1.0) * X[1:]
+
+    def test_premature_cap_reruns_without_it(self, monkeypatch):
+        spec = spec_with(J=0)
+        monkeypatch.setattr(cbc, "_CAP_MARGIN", 2.0**-20)
+        tripped = fast_cbc(spec, 6, 150)
+        assert tripped.cost.spod_order_cap is not None and tripped.cost.spod_rerun
+        monkeypatch.setattr(cbc, "_CAP_MARGIN", 0.0)
+        full = fast_cbc(spec, 6, 150)
+        assert _outputs(tripped) == _outputs(full)
+        # the rerun's counts are those of the full sweep
+        assert tripped.cost.spod_assembly_units == full.cost.spod_assembly_units
+        assert tripped.cost.search_units == full.cost.search_units
+        assert tripped.cost.rescored == full.cost.rescored
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cap_neither_masks_nor_moves_an_overflow(self, monkeypatch):
+        # the ROADMAP repro: a cap set at block 80 (K = 320) meets a non-finite
+        # W at block 97, reruns, and the uncapped run fails where it always did
+        spec = WeightSpec(alpha=4, b=2, J=0, beta=DecaySequence.power(3.0, 2.0, p=0.6))
+        monkeypatch.setattr(cbc, "_tail_excess", lambda _spec, s, *rest: -1.0 if s >= 80 else 1.0)
+        margins, trips = [], []
+        regime, certify = cbc._spod_regime, cbc._certify_cap
+
+        def spy_regime(*args):
+            margins.append(args[-1])
+            return regime(*args)
+
+        def spy_certify(U_rows, K, A, gval, L, W, S2_prev):
+            try:
+                return certify(U_rows, K, A, gval, L, W, S2_prev)
+            except cbc._CapTripped:
+                trips.append((K, L // 4, bool(np.isfinite(W).all())))
+                raise
+
+        monkeypatch.setattr(cbc, "_spod_regime", spy_regime)
+        monkeypatch.setattr(cbc, "_certify_cap", spy_certify)
+        with pytest.raises(NonFiniteScoreError) as exc:
+            fast_cbc(spec, 6, 150)
+        assert (exc.value.step, exc.value.regime) == (385, "SPOD")
+        assert margins == [cbc._CAP_MARGIN, 0.0]
+        assert trips == [(320, 97, False)]

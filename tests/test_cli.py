@@ -41,6 +41,7 @@ class TestConstruct:
         assert side["J"] == 1
         assert side["bound_check"]["ok"] is True
         assert side["config"]["m"] == 4
+        assert side["spod_order_cap"] is None and side["spod_rerun"] is False
 
     def test_sidecar_name_strips_only_the_trailing_json(self, tmp_path, capsys):
         (tmp_path / "a.json.d").mkdir()

@@ -120,11 +120,11 @@ class TestRational:
         assert g.exact_integral == pytest.approx(rational_2d(0.6, 0.4, c0), rel=1e-12)
 
     def test_spod_heavy_reference_value(self):
-        # the perfbench spod-heavy integrand; value from the earlier
-        # Chebyshev-cascade reference
+        # the perfbench spod-heavy integrand; the value on which 8, 16 and 32
+        # panels of 32-256 Gauss-Legendre nodes agree to within 1e-15
         beta = DecaySequence.power(0.4, 2.0, p=0.6)
         g = rational_spod(beta, 200, 2.0 * max(beta.sum1(), 1.0))
-        assert g.exact_integral == pytest.approx(0.6012014322096407, rel=1e-12)
+        assert g.exact_integral == pytest.approx(0.601201432209624, rel=1e-14)
 
     def test_zero_tail_entries_drop_out(self):
         # a list sequence is zero past its values: those coordinates are inert
