@@ -72,8 +72,9 @@ class CostLog:
     """Operation-count bookkeeping for the cost-model checks.
 
     search_units: per component step, the FFT-scoring work L*floor(log2 L)
-    for the padded transform length L = 2b^m the kernel actually uses;
-    constant per step because L depends only on b^m.
+    for the padded transform length L the kernel actually uses, the
+    smallest power of b that is >= 2T-1 for the period T = (b^m-1)/(b-1);
+    constant per step because L depends only on b and m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
     part of the cost model, the U update the alpha(s-J)N part).  Block
@@ -83,9 +84,10 @@ class CostLog:
     Both count only the rows actually swept, so once an order cap K is set
     they stop growing with s.
     rescored: per scored step (steps 2..d; step 1 is fixed to q = 1), the
-    number of candidates rescored exactly because their FFT scores lay
-    within the near-tie band of the minimum, or 0 when the FFT argmin was
-    unique.
+    number of scalar classes {lambda q} (b-1 candidates that share one
+    column) rescored exactly, one monic member each, because their FFT
+    scores lay within the near-tie band of the minimum, or 0 when the band
+    held a single class.
     spod_order_cap: the order K above which the SPOD sweep stopped forming
     rows, or None when no cap was set.
     spod_rerun: True when a capped block failed its certificate and the
@@ -134,6 +136,7 @@ class CbcResult:
             "timings": dict(self.timings),
             "spod_order_cap": self.cost.spod_order_cap,
             "spod_rerun": self.cost.spod_rerun,
+            "rescored": list(self.cost.rescored),
         }
         if bound_check is not None:
             doc["bound_check"] = bound_check.to_json_dict()
@@ -157,23 +160,28 @@ def _argmin_candidate(
 ) -> tuple[int, int]:
     """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
 
-    Returns (encoding, number of candidates rescored exactly; 0 when the
-    FFT argmin is unique).  Raises NonFiniteScoreError when any score is
-    inf or NaN: an overflowed scoring vector leaves no trustworthy ordering
-    of the candidates.
+    The b-1 members of a scalar class {lambda q} have the same column, so
+    the same FFT score and the same exact score: the near-tie band holds
+    whole classes, and only the smallest encoding of each, its monic
+    member, is rescored.  Returns (encoding, number of classes rescored
+    exactly; 0 when the band holds one class).  Raises NonFiniteScoreError
+    when any score is inf or NaN: an overflowed scoring vector leaves no
+    trustworthy ordering of the candidates.
     """
     finite = np.isfinite(scores)
     if not finite.all():
         raise NonFiniteScoreError(step, regime, int(np.count_nonzero(~finite)), len(scores))
     best = float(scores.min())
     band = 1e-9 * max(1.0, abs(best))
-    cands = np.flatnonzero(scores <= best + band)
+    cands = np.flatnonzero(scores <= best + band) + 1
+    if len(cands) > 1:
+        cands = cands[matrix.is_monic(cands)]
     if len(cands) == 1:
-        return int(cands[0]) + 1, 0
-    exact = np.array([matrix.score_exact(int(e) + 1, vec) for e in cands])
+        return int(cands[0]), 0
+    exact = np.array([matrix.score_exact(int(e), vec) for e in cands])
     ebest = float(exact.min())
     eband = 1e-12 * max(1.0, abs(ebest))
-    return int(cands[exact <= ebest + eband].min()) + 1, len(cands)
+    return int(cands[exact <= ebest + eband].min()), len(cands)
 
 
 def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = None) -> CbcResult:

@@ -8,10 +8,18 @@ q = g^k for a generator g of the multiplicative group of Z_b[x]/(P)
 makes the matrix entry a function of (i+k) mod (b^m-1) alone (Rader's
 permutation).  One stored column c therefore describes the whole matrix:
 every candidate column is a cyclic shift of c, and all candidate scores
-at once are one cyclic cross-correlation with c, computed here as a real
-FFT zero-padded to 2·b^m (at least the 2(b^m-1)-1 a linear correlation
-needs) in O(N log N).  Exact rescoring of one candidate reads its column
-as a contiguous window of c stored twice, so no index is reduced mod b^m-1.
+at once are one cyclic cross-correlation with c, in O(N log N).
+
+The correlation is shorter than b^m - 1.  lambda = g^T with
+T = (b^m-1)/(b-1) has order b-1, so it is a scalar of Z_b^*, and
+multiplying by a scalar keeps every degree: c has period T, and q and
+lambda q have the same column.  So the scoring vector, permuted to
+exponent order, is folded onto one period (the sum of its b-1 slices of
+length T), correlated with c[:T] as a real FFT zero-padded to the smallest
+power of b that is at least 2T-1 (b^m for b >= 3, 2^(m+1) for b = 2), and
+the T scores are spread back to all b^m-1 candidates.  Exact rescoring of
+one candidate reads its column as a contiguous window of c stored twice,
+so no index is reduced mod b^m-1.
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell).  For a nonzero
@@ -49,8 +57,9 @@ class OmegaMatrix:
     g^r (also doubled, so every cyclic shift is a slice), the permutation
     between group exponents and the integer encodings of nonzero residues
     (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
-    exp_of[0] = -1, since zero has no discrete log), and the transform of c
-    used for scoring.  Immutable after construction; multiplies are pure.
+    exp_of[0] = -1, since zero has no discrete log), and the transform of
+    one period c[:T], T = (b^m-1)/(b-1), padded to fft_len, used for
+    scoring.  Immutable after construction; multiplies are pure.
 
     pow_enc is built from step[n] = encoding of g n mod P, filled for every
     residue by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
@@ -83,7 +92,7 @@ class OmegaMatrix:
 
         # circulant column c[r] = omega(g^r): the leading Laurent digit of
         # g^r / P sits at position m - deg(g^r)
-        deg = np.searchsorted(b ** np.arange(1, m, dtype=np.int64), self.pow_enc, side="right")
+        deg = self.degree(self.pow_enc)
         shell_values = np.array(
             [omega_at_position(pos, alpha, b) for pos in range(1, m + 1)]
         )
@@ -91,9 +100,26 @@ class OmegaMatrix:
         self._c2 = np.concatenate([c, c])
         self._c = self._c2[:M]
 
-        # zero padding to 2b^m = 2M+2 >= 2M-1 keeps the correlation linear
-        self.fft_len = 2 * self.n_points
-        self._fft_c = np.fft.rfft(self._c, self.fft_len)
+        # g^T is a scalar, so c has period T; zero padding one period to a
+        # power of b that is >= 2T-1 keeps its correlation linear
+        self.period = M // (b - 1)
+        self.fft_len = 1
+        while self.fft_len < 2 * self.period - 1:
+            self.fft_len *= b
+        self._fft_c = np.fft.rfft(self._c[: self.period], self.fft_len)
+        # _slots[t, i] = position of the score of g^(tT + i): each row is a coset
+        self._slots = (self.pow_enc - 1).reshape(b - 1, self.period)
+
+    def degree(self, enc: np.ndarray) -> np.ndarray:
+        """Degree of each nonzero residue, given by its integer encoding."""
+        return np.searchsorted(self.b ** np.arange(1, self.m, dtype=np.int64), enc, side="right")
+
+    def is_monic(self, enc: np.ndarray) -> np.ndarray:
+        """Whether each encoding is monic, the smallest of its class {lambda q}.
+
+        A monic residue of degree k is encoded in [b^k, 2 b^k).
+        """
+        return enc < 2 * self.b ** self.degree(enc)
 
     def column(self, q) -> np.ndarray:
         """omega values of the column for candidate q, indexed by n-1.
@@ -118,18 +144,23 @@ class OmegaMatrix:
 
         vec is indexed by point index n = 1..b^m-1; the result is indexed
         by candidate encoding q = 1..b^m-1 (entry q-1).  One padded real-FFT
-        correlation; agrees with oracle.multiply_naive to ~1e-12 relative.
+        correlation over a period; agrees with oracle.multiply_naive to
+        ~1e-12 relative.  The b-1 members of a scalar class {lambda q} get
+        the same score, bit for bit.
         """
-        M = self.size
+        M, T, L = self.size, self.period, self.fft_len
         if vec.shape != (M,):
             raise ValueError(f"expected vector of length {M}")
-        u = vec[self.pow_enc - 1]  # u[i] = vec at n = g^i
+        # u[i] = sum_t vec at n = g^(tT + i), since c[(i + tT + k) mod M] = c[(i+k) mod T]
+        u = vec[self._slots[0]]
+        for coset in self._slots[1:]:
+            u += vec[coset]
         # linear correlation lin[t] = sum_i c[i+t] u[i], negative lags at the end
-        lin = np.fft.irfft(self._fft_c * np.conj(np.fft.rfft(u, self.fft_len)), self.fft_len)
-        w = lin[:M]  # w[k] = sum_i c[(i+k) mod M] u[i] = lin[k] + lin[k-M]
-        w[1:] += lin[self.fft_len - M + 1 :]
+        lin = np.fft.irfft(self._fft_c * np.conj(np.fft.rfft(u, L)), L)
+        w = lin[:T]  # w[k] = sum_i c[(i+k) mod T] u[i] = lin[k] + lin[k-T]
+        w[1:] += lin[L - T + 1 :]
         out = np.empty(M)
-        out[self.pow_enc - 1] = w
+        out[self._slots] = w
         return out
 
     def score_exact(self, q, vec: np.ndarray) -> float:

@@ -145,7 +145,7 @@ class TestFastVsSlow:
         res = fast_cbc(spec_with(J=1), 4, 3)
         assert all(e > 0 for e in res.criterion_per_step)
 
-    @pytest.mark.parametrize("b,m", [(3, 2), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("b,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
     def test_odd_bases(self, b, m):
         spec = spec_with(alpha=2, J=1, b=b)
         fast = fast_cbc(spec, m, 2)
@@ -415,31 +415,36 @@ class TestMemoryGuard:
 
 
 class TestRescoredCount:
-    @pytest.mark.parametrize("b,m", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 3), (5, 2)])
     def test_counts_the_exact_ties_of_each_step(self, b, m):
         # the literal criterion of every candidate at every step tells which
-        # steps have an exact tie and which a clear unique minimum
+        # steps have an exact tie and which a clear unique minimum; the b-1
+        # scalar multiples lambda q of a candidate share its column, so ties
+        # come in whole classes and one member of each is rescored
         spec = spec_with(J=1, b=b)
         res = fast_cbc(spec, m, 3)
         assert len(res.cost.rescored) == res.d - 1
         q = [x.to_int() for x in res.gen_vector.q]
-        cols = {e: pure_omega_column(res.gen_vector.modulus, GfPoly.from_int(b, e), 2)
-                for e in range(1, b**m)}
-        unique_steps = 0
+        encs = np.arange(1, b**m)
+        cols = [pure_omega_column(res.gen_vector.modulus, GfPoly.from_int(b, e), 2) for e in encs]
+        tied_steps = unique_steps = 0
         for k, rescored in enumerate(res.cost.rescored, start=1):
-            chosen = [cols[e] for e in q[:k]]
-            vals = np.sort([criterion_from_columns(chosen + [c], spec) for c in cols.values()])
-            n_ties = int(np.count_nonzero(vals <= vals[0] + 1e-12 * abs(vals[0])))
-            if n_ties > 1:
-                assert rescored >= n_ties, k + 1
-            elif vals[1] - vals[0] > 1e-6 * abs(vals[0]):
+            chosen = [cols[e - 1] for e in q[:k]]
+            vals = np.array([criterion_from_columns(chosen + [c], spec) for c in cols])
+            best = vals.min()
+            ties = encs[vals <= best + 1e-12 * abs(best)]
+            assert len(ties) % (b - 1) == 0, k + 1
+            assert q[k] == ties.min(), k + 1
+            n_classes = len(ties) // (b - 1)
+            if n_classes > 1:
+                assert rescored >= n_classes, k + 1
+                tied_steps += 1
+            elif np.sort(vals)[b - 1] - best > 1e-6 * abs(best):
                 assert rescored == 0, k + 1
                 unique_steps += 1
-        if b == 2:
-            assert unique_steps > 0
-        else:
-            # q and 2q always score alike over Z_3, so step 2 rescores a tie
-            assert res.cost.rescored[0] > 1
+        assert unique_steps > 0
+        # step 2, scored against q = 1 alone, ties several classes in each case
+        assert tied_steps > 0 and res.cost.rescored[0] > 1
 
 
 class TestSidecar:
@@ -449,8 +454,10 @@ class TestSidecar:
         check = verify_bound(res, spec)
         doc = res.sidecar_dict(bound_check=check)
         assert set(doc) == {"E_per_step", "J", "timings", "bound_check", "spod_order_cap",
-                            "spod_rerun"}
+                            "spod_rerun", "rescored"}
         assert doc["timings"] == res.timings
+        assert doc["rescored"] == res.cost.rescored and len(doc["rescored"]) == res.d - 1
+        assert all(type(n) is int for n in doc["rescored"])
         assert len(doc["E_per_step"]) == res.d
         assert doc["bound_check"]["ok"] is True
         assert doc["spod_order_cap"] is None and doc["spod_rerun"] is False

@@ -223,13 +223,50 @@ class TestOmegaMatrix:
     )
     def test_multiply_matches_naive(self, b, m):
         om = OmegaMatrix(find_irreducible(b, m), 2)
-        assert om.fft_len == 2 * b**m
+        # one period T = (b^m-1)/(b-1), padded to the smallest b^k >= 2T-1:
+        # length 1 at m = 1, b^m for b >= 3, 2^(m+1) for b = 2
+        T = (b**m - 1) // (b - 1)
+        assert om.period == T
+        assert om.fft_len == (1 if m == 1 else b**m if b > 2 else 2 ** (m + 1))
+        assert om.fft_len >= 2 * T - 1 and om.fft_len < b * (2 * T - 1)
         rng = np.random.default_rng(b * 100 + m)
         for _ in range(4):
             vec = rng.standard_normal(om.size)
             fast = om.multiply(vec)
             ref = multiply_naive(om, vec)
             assert np.max(np.abs(fast - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("b,m", [(3, 1), (3, 4), (3, 6), (5, 1), (5, 3), (7, 2), (7, 3)])
+    def test_column_has_scalar_period(self, b, m):
+        # g^T is a scalar of Z_b^*, which keeps every degree, so c repeats
+        # with period T and with no shorter period that divides it
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        T = (b**m - 1) // (b - 1)
+        assert np.array_equal(om._c, np.tile(om._c[:T], b - 1))
+        lam = int(om.pow_enc[T % om.size])
+        assert 1 <= lam < b
+        for d in range(1, T):
+            if T % d == 0:
+                assert not np.array_equal(om._c, np.roll(om._c, d)), d
+
+    @pytest.mark.parametrize("b,m", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 2)])
+    def test_scalar_multiples_share_column_and_score(self, b, m):
+        # the argmin rescores the monic member of each class {lambda q},
+        # which is sound only if every member has the same bytes in both
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        scores = om.multiply(np.random.default_rng(b + m).standard_normal(om.size))
+        for enc in range(1, b**m):
+            q = GfPoly.from_int(b, enc)
+            col = om.column(q).tobytes()
+            members = [enc]
+            for lam in range(2, b):
+                lq = GfPoly(b, tuple((lam * c) % b for c in q.coeffs)).to_int()
+                assert om.column(lq).tobytes() == col, (enc, lam)
+                assert scores[lq - 1] == scores[enc - 1], (enc, lam)
+                members.append(lq)
+            # exactly one member is monic, and it is the smallest encoding
+            monic = np.array(members)[om.is_monic(np.array(members))]
+            assert monic.tolist() == [min(members)], enc
 
     def test_column_orientation_symmetric(self):
         # entry(n, q) = omega(residue of n*q) is symmetric in (n, q)
