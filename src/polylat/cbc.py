@@ -44,7 +44,7 @@ regime without the cap.
 
 Only the last factor of V depends on the candidate, so the part of the
 criterion that varies with q is a single weighted column sum, computed for
-all candidates at once through the Rader-permuted FFT multiply.  The
+all classes {lambda q} at once through the Rader-permuted FFT multiply.  The
 scoring vector is V*Y in the product regime and V*W*(1+S1) in the SPOD
 regime (the derivative of the assembled criterion with respect to the new
 factor; scoring the full assembled vector instead would add a spurious
@@ -144,13 +144,13 @@ class CbcResult:
 
 
 class NonFiniteScoreError(ArithmeticError):
-    """Candidate scores overflowed or became NaN, so a CBC step has no argmin."""
+    """Class scores overflowed or became NaN, so a CBC step has no argmin."""
 
     def __init__(self, step: int, regime: str, n_bad: int, n_total: int):
         self.step = step
         self.regime = regime
         super().__init__(
-            f"CBC step {step} ({regime} regime): {n_bad} of {n_total} candidate "
+            f"CBC step {step} ({regime} regime): {n_bad} of {n_total} candidate class "
             "scores are not finite; the weighted recursion overflowed"
         )
 
@@ -160,22 +160,21 @@ def _argmin_candidate(
 ) -> tuple[int, int]:
     """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
 
-    The b-1 members of a scalar class {lambda q} have the same column, so
-    the same FFT score and the same exact score: the near-tie band holds
-    whole classes, and only the smallest encoding of each, its monic
-    member, is rescored.  Returns (encoding, number of classes rescored
-    exactly; 0 when the band holds one class).  Raises NonFiniteScoreError
-    when any score is inf or NaN: an overflowed scoring vector leaves no
-    trustworthy ordering of the candidates.
+    scores holds one FFT score per scalar class {lambda q}, as
+    OmegaMatrix.multiply returns them.  Every member of a class has the
+    same column and so the same exact score; the classes in the near-tie
+    band are rescored through their smallest encodings.  Returns
+    (encoding, number of classes rescored exactly; 0 when the band holds
+    one class).  Raises NonFiniteScoreError when any score is inf or NaN:
+    an overflowed scoring vector leaves no trustworthy ordering of the
+    candidates.
     """
     finite = np.isfinite(scores)
     if not finite.all():
         raise NonFiniteScoreError(step, regime, int(np.count_nonzero(~finite)), len(scores))
     best = float(scores.min())
     band = 1e-9 * max(1.0, abs(best))
-    cands = np.flatnonzero(scores <= best + band) + 1
-    if len(cands) > 1:
-        cands = cands[matrix.is_monic(cands)]
+    cands = matrix.class_enc[scores <= best + band]
     if len(cands) == 1:
         return int(cands[0]), 0
     exact = np.array([matrix.score_exact(int(e), vec) for e in cands])
@@ -198,12 +197,14 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         raise ValueError("need at least one dimension")
     if modulus is None:
         modulus = find_irreducible(b, m)
+    elif (modulus.b, modulus.m) != (b, m):
+        raise ValueError(f"modulus has b={modulus.b}, m={modulus.m}; asked for b={b}, m={m}")
     if s_max > J:
         # U and X each hold alpha(s-J)+1 rows of b^m doubles
-        need = 2 * (alpha * (s_max - J) + 1) * b**modulus.m * 8
+        need = 2 * (alpha * (s_max - J) + 1) * b**m * 8
         if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise ValueError(
-                f"SPOD buffers for s={s_max}, m={modulus.m} need {need / 2**30:.1f} GiB, "
+                f"SPOD buffers for s={s_max}, m={m} need {need / 2**30:.1f} GiB, "
                 "more than the physical memory"
             )
     timings = dict.fromkeys(("omega_matrix", "product", "spod_recursion", "scoring"), 0.0)
@@ -379,9 +380,11 @@ def _spod_regime(spec, s_max, S1, select, full_column, cost, cap_margin) -> list
     S2_prev = np.zeros(N)
     vm1 = np.empty(N)
     row = np.empty(N)
-    # gtab[s - J - 1] holds gamma_s(1..alpha)
+    # gtab[s - J - 1] holds gamma_s(1..alpha), perm[ell][nu - 1] = perm(ell, nu)
     gtab = [[order_weight(s, nu, spec) for nu in range(1, alpha + 1)]
             for s in range(J + 1, s_max + 1)]
+    perm = np.array([[math.perm(ell, nu) for nu in range(1, alpha + 1)]
+                     for ell in range(L_max + 1)], dtype=float)
     e_steps = []
     L_prev = 0
     K = A = None  # once set, rows above K are never written; A bounds their U mass
@@ -389,7 +392,8 @@ def _spod_regime(spec, s_max, S1, select, full_column, cost, cap_margin) -> list
     for s in range(J + 1, s_max + 1):
         L = alpha * (s - J)
         top = L if K is None else K
-        gval = dict(enumerate(gtab[s - J - 1], start=1))
+        # coef[ell][nu - 1] = gamma_s(nu) perm(ell, nu), the weight of U[ell - nu] in X[ell]
+        coef = (np.array(gtab[s - J - 1]) * perm[: top + 1]).tolist()
         if L_prev:
             S2_prev.fill(0.0)
             cost.spod_update_units[s - 1] = min(L_prev, top) * N
@@ -403,14 +407,16 @@ def _spod_regime(spec, s_max, S1, select, full_column, cost, cap_margin) -> list
                 np.multiply(vm1, Xr, out=row)
                 np.add(Ur, row, out=Ur)
                 np.add(S2_prev, Ur, out=S2_prev)
-            np.multiply(U_rows[ell - 1], gval[1] * math.perm(ell, 1), out=Xr)
+            np.multiply(U_rows[ell - 1], coef[ell][0], out=Xr)
             for nu in range(2, min(alpha, ell) + 1):
-                np.multiply(U_rows[ell - nu], gval[nu] * math.perm(ell, nu), out=row)
+                np.multiply(U_rows[ell - nu], coef[ell][nu - 1], out=row)
                 np.add(Xr, row, out=Xr)
             np.add(W, Xr, out=W)
-        cost.spod_assembly_units[s] = N * sum(min(alpha, ell) for ell in range(1, top + 1))
+        a = min(alpha, top)  # sum of min(alpha, ell) over ell = 1..top
+        cost.spod_assembly_units[s] = N * (a * (a + 1) // 2 + alpha * (top - a))
         xtail = None
         if K is not None:
+            gval = dict(enumerate(gtab[s - J - 1], start=1))
             xtail = _certify_cap(U_rows, K, A, gval, L, W, S2_prev)
         elif cap_margin and predict_at <= s < s_max:
             excess = _tail_excess(

@@ -17,9 +17,9 @@ lambda q have the same column.  So the scoring vector, permuted to
 exponent order, is folded onto one period (the sum of its b-1 slices of
 length T), correlated with c[:T] as a real FFT zero-padded to the smallest
 power of b that is at least 2T-1 (b^m for b >= 3, 2^(m+1) for b = 2), and
-the T scores are spread back to all b^m-1 candidates.  Exact rescoring of
-one candidate reads its column as a contiguous window of c stored twice,
-so no index is reduced mod b^m-1.
+the result is one score per scalar class {lambda q}, T of them.  Exact
+rescoring of one candidate reads its column as a contiguous window of c
+stored twice, so no index is reduced mod b^m-1.
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell).  For a nonzero
@@ -33,7 +33,7 @@ import operator
 
 import numpy as np
 
-from .gfpoly import GfPoly, Modulus, fill_by_doubling, mul_mod_matrix, primitive_element
+from .gfpoly import Modulus, fill_by_doubling, mul_mod_matrix, primitive_element
 from .gfpoly import poly_mul_mod  # unused here; the benchmark's tracer wraps it by name
 
 
@@ -59,7 +59,9 @@ class OmegaMatrix:
     (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
     exp_of[0] = -1, since zero has no discrete log), and the transform of
     one period c[:T], T = (b^m-1)/(b-1), padded to fft_len, used for
-    scoring.  Immutable after construction; multiplies are pure.
+    scoring.  class_enc[i] is the smallest encoding of the scalar class of
+    g^i, its monic member.  Immutable after construction; multiplies are
+    pure.
 
     pow_enc is built from step[n] = encoding of g n mod P, filled for every
     residue by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
@@ -92,7 +94,7 @@ class OmegaMatrix:
 
         # circulant column c[r] = omega(g^r): the leading Laurent digit of
         # g^r / P sits at position m - deg(g^r)
-        deg = self.degree(self.pow_enc)
+        deg = np.searchsorted(b ** np.arange(1, m, dtype=np.int64), self.pow_enc, side="right")
         shell_values = np.array(
             [omega_at_position(pos, alpha, b) for pos in range(1, m + 1)]
         )
@@ -107,32 +109,18 @@ class OmegaMatrix:
         while self.fft_len < 2 * self.period - 1:
             self.fft_len *= b
         self._fft_c = np.fft.rfft(self._c[: self.period], self.fft_len)
-        # _slots[t, i] = position of the score of g^(tT + i): each row is a coset
-        self._slots = (self.pow_enc - 1).reshape(b - 1, self.period)
-
-    def degree(self, enc: np.ndarray) -> np.ndarray:
-        """Degree of each nonzero residue, given by its integer encoding."""
-        return np.searchsorted(self.b ** np.arange(1, self.m, dtype=np.int64), enc, side="right")
-
-    def is_monic(self, enc: np.ndarray) -> np.ndarray:
-        """Whether each encoding is monic, the smallest of its class {lambda q}.
-
-        A monic residue of degree k is encoded in [b^k, 2 b^k).
-        """
-        return enc < 2 * self.b ** self.degree(enc)
+        # _cosets[t, i] = g^(tT + i) - 1, the slot of point n = g^(tT + i) in a scoring vector
+        self._cosets = (self.pow_enc - 1).reshape(b - 1, self.period)
+        self.class_enc = self.pow_enc.reshape(b - 1, self.period).min(axis=0)
 
     def column(self, q) -> np.ndarray:
         """omega values of the column for candidate q, indexed by n-1.
 
-        q is an integer encoding (int or numpy integer) or a GfPoly.  Entry
-        n-1 is omega(n q mod P) = c[(exp n + exp q) mod (b^m - 1)], read as
-        the window c2[exp q : exp q + b^m - 1] of the doubled column at
-        exp n: one slice and one gather, no modulo.
+        q is an integer encoding (int or numpy integer).  Entry n-1 is
+        omega(n q mod P) = c[(exp n + exp q) mod (b^m - 1)], read as the
+        window c2[exp q : exp q + b^m - 1] of the doubled column at exp n:
+        one slice and one gather, no modulo.
         """
-        if isinstance(q, GfPoly):
-            if q.b != self.b:
-                raise ValueError(f"candidate over Z_{q.b}, matrix over Z_{self.b}")
-            q = q.to_int()
         enc = operator.index(q)
         if not 0 < enc <= self.size:
             raise ValueError("candidate must be nonzero of degree < m")
@@ -140,28 +128,27 @@ class OmegaMatrix:
         return self._c2[e : e + self.size][self.exp_of[1:]]
 
     def multiply(self, vec: np.ndarray) -> np.ndarray:
-        """All candidate scores sum_n omega(y^(n)(q)) vec[n-1] at once.
+        """The scores sum_n omega(y^(n)(q)) vec[n-1] of all scalar classes.
 
-        vec is indexed by point index n = 1..b^m-1; the result is indexed
-        by candidate encoding q = 1..b^m-1 (entry q-1).  One padded real-FFT
+        vec is indexed by point index n = 1..b^m-1.  Every member of a
+        class {lambda q} has the same column, so the result holds one score
+        per class, T in all, in exponent order: entry i is the class of
+        g^i, whose smallest encoding is class_enc[i].  One padded real-FFT
         correlation over a period; agrees with oracle.multiply_naive to
-        ~1e-12 relative.  The b-1 members of a scalar class {lambda q} get
-        the same score, bit for bit.
+        ~1e-12 relative.
         """
         M, T, L = self.size, self.period, self.fft_len
         if vec.shape != (M,):
             raise ValueError(f"expected vector of length {M}")
         # u[i] = sum_t vec at n = g^(tT + i), since c[(i + tT + k) mod M] = c[(i+k) mod T]
-        u = vec[self._slots[0]]
-        for coset in self._slots[1:]:
+        u = vec[self._cosets[0]]
+        for coset in self._cosets[1:]:
             u += vec[coset]
         # linear correlation lin[t] = sum_i c[i+t] u[i], negative lags at the end
         lin = np.fft.irfft(self._fft_c * np.conj(np.fft.rfft(u, L)), L)
         w = lin[:T]  # w[k] = sum_i c[(i+k) mod T] u[i] = lin[k] + lin[k-T]
         w[1:] += lin[L - T + 1 :]
-        out = np.empty(M)
-        out[self._slots] = w
-        return out
+        return w
 
     def score_exact(self, q, vec: np.ndarray) -> float:
         """Direct dot product of one candidate column with vec (tie rescoring)."""

@@ -195,6 +195,8 @@ def slow_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         raise ValueError(f"slow reference capped at 14 components, asked for {d_total}")
     if modulus is None:
         modulus = find_irreducible(b, m)
+    elif (modulus.b, modulus.m) != (b, m):
+        raise ValueError(f"modulus has b={modulus.b}, m={modulus.m}; asked for b={b}, m={m}")
     N = b**m
     pure_cols = {
         enc: pure_omega_column(modulus, GfPoly.from_int(b, enc), alpha)

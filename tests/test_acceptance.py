@@ -140,7 +140,8 @@ def test_criterion_4_fft_correctness():
         om = OmegaMatrix(find_irreducible(b, m), 2)
         for _ in range(20):
             vec = rng.standard_normal(om.size)
-            fastv = om.multiply(vec)
+            fastv = np.empty(om.size)  # each class score, spread to every member
+            fastv[om.pow_enc.reshape(b - 1, -1) - 1] = om.multiply(vec)
             ref = multiply_naive(om, vec)
             worst = max(
                 worst, float(np.max(np.abs(fastv - ref)) / max(np.max(np.abs(ref)), 1e-300))

@@ -273,7 +273,7 @@ class TestRecursionIdentities:
             for i in range(alpha):
                 col = np.empty(N)
                 col[0] = omega0
-                col[1:] = om.column(gv.q[(j - 1) * alpha + i])
+                col[1:] = om.column(gv.q[(j - 1) * alpha + i].to_int())
                 out *= 1.0 + col
             return out
 
@@ -347,6 +347,15 @@ class TestNonFiniteScores:
         assert (exc.value.step, exc.value.regime) == (5, "SPOD")
         assert "step 5" in str(exc.value) and "1 of 7" in str(exc.value)
 
+    def test_argmin_counts_classes(self):
+        # b = 3, m = 4: 80 candidates in T = 40 classes {q, 2q}, one score each
+        om = OmegaMatrix(find_irreducible(3, 4), 2)
+        scores = np.arange(1.0, om.period + 1.0)
+        scores[7] = np.nan
+        with pytest.raises(NonFiniteScoreError) as exc:
+            _argmin_candidate(scores, om, np.ones(om.size), 3, "product")
+        assert "step 3" in str(exc.value) and "1 of 40 candidate class" in str(exc.value)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_spod_recursion_names_the_step(self):
         # beta_j = 3 j^-2 at alpha = 4: the SPOD scoring vector overflows in block 97
@@ -412,6 +421,28 @@ class TestMemoryGuard:
             fast_cbc(spec_with(J=0), 4, 10**12)  # 2 (2e12 + 1) 16 doubles: ~466 TiB
         assert "s=1000000000000" in str(exc.value) and "m=4" in str(exc.value)
         assert "GiB" in str(exc.value)
+
+
+class TestModulusMismatch:
+    """A modulus over another base or of another degree is refused before any work."""
+
+    MISMATCHED = [(2, 3, find_irreducible(2, 4)), (2, 3, find_irreducible(3, 3))]
+
+    @pytest.mark.parametrize("b,m,modulus", MISMATCHED, ids=["degree", "base"])
+    def test_fast_cbc(self, monkeypatch, b, m, modulus):
+        monkeypatch.setattr(cbc, "OmegaMatrix", None)
+        with pytest.raises(ValueError) as exc:
+            fast_cbc(spec_with(b=b), m, 2, modulus=modulus)
+        assert f"b={b}, m={m}" in str(exc.value)
+
+    @pytest.mark.parametrize("b,m,modulus", MISMATCHED, ids=["degree", "base"])
+    def test_slow_cbc(self, monkeypatch, b, m, modulus):
+        from polylat import oracle
+
+        monkeypatch.setattr(oracle, "pure_omega_column", None)
+        with pytest.raises(ValueError) as exc:
+            slow_cbc(spec_with(b=b), m, 2, modulus=modulus)
+        assert f"b={b}, m={m}" in str(exc.value)
 
 
 class TestRescoredCount:

@@ -51,6 +51,14 @@ def random_multiply_cases(count, seed):
 
 MULTIPLY_CASES = random_multiply_cases(16, seed=10)
 
+
+def candidate_scores(om, vec):
+    """om.multiply's class scores spread to every candidate, indexed by encoding - 1."""
+    out = np.empty(om.size)
+    out[om.pow_enc.reshape(om.b - 1, om.period) - 1] = om.multiply(vec)
+    return out
+
+
 # sha256 prefixes of (pow_enc, exp_of, _c2) for find_irreducible(b, m) at
 # alpha = 2, recorded from the int64 coefficient-table construction
 KERNEL_TABLE_DIGESTS = {
@@ -136,7 +144,7 @@ class TestOmegaColumn:
     def test_matches_laurent_composition(self):
         mod = find_irreducible(2, 4)
         q = GfPoly.from_int(2, 9)
-        col = OmegaMatrix(mod, 2).column(q)
+        col = OmegaMatrix(mod, 2).column(q.to_int())
         for n in range(1, 16):
             dv = laurent_digits(GfPoly.from_int(2, n), q, mod, 4)
             assert col[n - 1] == pytest.approx(omega(dv, 2), abs=1e-15)
@@ -148,14 +156,17 @@ class TestOmegaColumn:
         om = OmegaMatrix(mod, alpha)
         for enc in range(1, b**m):
             q = GfPoly.from_int(b, enc)
-            assert np.array_equal(om.column(q), pure_omega_column(mod, q, alpha)[1:]), enc
+            assert np.array_equal(om.column(enc), pure_omega_column(mod, q, alpha)[1:]), enc
 
     def test_rejects_zero_and_full_degree(self):
         om = OmegaMatrix(find_irreducible(3, 3), 2)
-        # GfPoly 40 has degree 3 = m; GfPoly.from_int(2, 3) is over Z_2
-        for q in (0, -1, GfPoly.zero(3), 27, np.int64(27), GfPoly.from_int(3, 40),
-                  GfPoly.from_int(2, 3)):
+        # 40 encodes a polynomial of degree 3 = m
+        for q in (0, -1, 27, np.int64(27), 40):
             with pytest.raises(ValueError):
+                om.column(q)
+        # only integer encodings are taken
+        for q in (GfPoly.from_int(3, 5), 5.0):
+            with pytest.raises(TypeError):
                 om.column(q)
 
     @pytest.mark.parametrize("b,m", [(2, 5), (3, 3), (5, 2)])
@@ -164,7 +175,7 @@ class TestOmegaColumn:
         for enc in range(1, b**m):
             col = om.column(enc)
             assert col.tobytes() == om.column(np.int64(enc)).tobytes()
-            assert col.tobytes() == om.column(GfPoly.from_int(b, enc)).tobytes()
+            assert col.tobytes() == om.column(GfPoly.from_int(b, enc).to_int()).tobytes()
 
     def test_scalar_multiple_is_permutation(self):
         # over Z_3, the columns for q and 2q list the same multiset of values
@@ -172,13 +183,13 @@ class TestOmegaColumn:
         om = OmegaMatrix(mod, 2)
         q = GfPoly.from_int(3, 7)
         q2 = GfPoly(3, tuple((2 * c) % 3 for c in q.coeffs))
-        a = sorted(om.column(q))
-        c = sorted(om.column(q2))
+        a = sorted(om.column(q.to_int()))
+        c = sorted(om.column(q2.to_int()))
         assert np.allclose(a, c)
 
     def test_entries_respect_lower_bound(self):
         mod = find_irreducible(2, 6)
-        col = OmegaMatrix(mod, 3).column(GfPoly.from_int(2, 45))
+        col = OmegaMatrix(mod, 3).column(45)
         floor_val = omega_at_position(1, 3, 2)
         assert np.all(col >= floor_val - 1e-15)
 
@@ -215,7 +226,7 @@ class TestOmegaMatrix:
         for n in (1, 7, 30):
             vec = np.zeros(om.size)
             vec[n - 1] = 1.0
-            out = om.multiply(vec)
+            out = candidate_scores(om, vec)
             assert np.allclose(out, multiply_naive(om, vec), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -232,7 +243,7 @@ class TestOmegaMatrix:
         rng = np.random.default_rng(b * 100 + m)
         for _ in range(4):
             vec = rng.standard_normal(om.size)
-            fast = om.multiply(vec)
+            fast = candidate_scores(om, vec)
             ref = multiply_naive(om, vec)
             assert np.max(np.abs(fast - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -251,22 +262,36 @@ class TestOmegaMatrix:
 
     @pytest.mark.parametrize("b,m", [(3, 2), (3, 4), (5, 2), (5, 3), (7, 2)])
     def test_scalar_multiples_share_column_and_score(self, b, m):
-        # the argmin rescores the monic member of each class {lambda q},
-        # which is sound only if every member has the same bytes in both
+        # multiply scores the class {lambda q} once, which is sound only if
+        # every lambda q has the bytes of q's column and lies in q's class
         om = OmegaMatrix(find_irreducible(b, m), 2)
-        scores = om.multiply(np.random.default_rng(b + m).standard_normal(om.size))
+        T = om.period
         for enc in range(1, b**m):
             q = GfPoly.from_int(b, enc)
-            col = om.column(q).tobytes()
-            members = [enc]
+            col = om.column(enc).tobytes()
             for lam in range(2, b):
                 lq = GfPoly(b, tuple((lam * c) % b for c in q.coeffs)).to_int()
                 assert om.column(lq).tobytes() == col, (enc, lam)
-                assert scores[lq - 1] == scores[enc - 1], (enc, lam)
-                members.append(lq)
-            # exactly one member is monic, and it is the smallest encoding
-            monic = np.array(members)[om.is_monic(np.array(members))]
-            assert monic.tolist() == [min(members)], enc
+                assert om.exp_of[lq] % T == om.exp_of[enc] % T, (enc, lam)
+
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_class_enc_is_the_monic_member_of_each_class(self, b, m):
+        # class i = {g^(tT + i)}: multiply returns its score at entry i, and
+        # the argmin rescores it through class_enc[i]
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        T = om.period
+        assert om.class_enc.shape == (T,) and om.multiply(np.ones(om.size)).shape == (T,)
+        for i in range(T):
+            members = om.pow_enc[i::T]
+            enc = int(om.class_enc[i])
+            assert enc == members.min(), i
+            q = GfPoly.from_int(b, enc)
+            assert q.coeffs[-1] == 1, i  # monic
+            multiples = {GfPoly(b, tuple(lam * c % b for c in q.coeffs)).to_int()
+                         for lam in range(1, b)}
+            assert multiples == set(members.tolist()), i
+            col = om.column(enc).tobytes()
+            assert all(om.column(int(e)).tobytes() == col for e in members), i
 
     def test_column_orientation_symmetric(self):
         # entry(n, q) = omega(residue of n*q) is symmetric in (n, q)
@@ -279,7 +304,8 @@ class TestOmegaMatrix:
         om = OmegaMatrix(random_modulus(b, m, seed), 2)
         vec = np.random.default_rng(seed).standard_normal(om.size)
         ref = multiply_naive(om, vec)
-        assert np.max(np.abs(om.multiply(vec) - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        fast = candidate_scores(om, vec)
+        assert np.max(np.abs(fast - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("b,m", sorted(KERNEL_TABLE_DIGESTS))
     def test_tables_are_pinned(self, b, m):
