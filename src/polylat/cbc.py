@@ -39,8 +39,8 @@ rows just below K.  When 2 xtail + 2^-1000 and 2 A + 2^-1000 lie below
 2^-53 |x|, every skipped term would round away as it was added in
 ascending order, so W and S2_prev, and with them every score,
 argmin, tie rescoring and criterion, are bit for bit those of the full
-sweep.  A failed certificate (a non-finite sum included) reruns the SPOD
-regime without the cap.
+sweep.  A failed certificate (a non-finite W or S2_prev at any point
+included) reruns the SPOD regime without the cap.
 
 Only the last factor of V depends on the candidate, so the part of the
 criterion that varies with q is a single weighted column sum, computed for
@@ -49,6 +49,16 @@ scoring vector is V*Y in the product regime and V*W*(1+S1) in the SPOD
 regime (the derivative of the assembled criterion with respect to the new
 factor; scoring the full assembled vector instead would add a spurious
 candidate-dependent term and break agreement with the direct criterion).
+
+Every running quantity is a product or sum of column entries
+omega(n q_j mod P), and multiplying n by a scalar lambda of Z_b^* keeps the
+degree of n q_j mod P, so Y, V, S1, U, X, W and S2 agree at n and lambda n.
+They are stored in T + 1 = (b^m-1)/(b-1) + 1 class slots (slot 0 the point
+n = 0, slot 1 + i the class of g^i; OmegaMatrix.class_of maps points to
+slots), which is b-1 times less work and memory than one entry per point.
+Each criterion still sums the natural-order vector of all b^m points, and
+the FFT input is each class's value added b-1 times, so every bit is what a
+point-by-point recursion gives.
 
 The oracle for fast_cbc is polylat.oracle.slow_cbc, the same greedy rule
 driven by the literal subset-sum criterion (polylat.oracle.direct_criterion).
@@ -77,7 +87,9 @@ class CostLog:
     constant per step because L depends only on b and m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
-    part of the cost model, the U update the alpha(s-J)N part).  Block
+    part of the cost model, the U update the alpha(s-J)N part).  The
+    counts stay in these per-point units, although each row the sweep
+    touches holds only the T + 1 class slots.  Block
     s's U update is applied during block s+1's sweep and recorded then;
     the final block's update is never read, so it is skipped and has no
     spod_update_units entry.
@@ -156,14 +168,16 @@ class NonFiniteScoreError(ArithmeticError):
 
 
 def _argmin_candidate(
-    scores: np.ndarray, matrix: OmegaMatrix, vec: np.ndarray, step: int, regime: str
+    scores: np.ndarray, matrix: OmegaMatrix, weight: np.ndarray, step: int, regime: str
 ) -> tuple[int, int]:
     """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
 
     scores holds one FFT score per scalar class {lambda q}, as
-    OmegaMatrix.multiply returns them.  Every member of a class has the
-    same column and so the same exact score; the classes in the near-tie
-    band are rescored through their smallest encodings.  Returns
+    OmegaMatrix.multiply returns them, and weight the scoring vector in
+    class slots.  Every member of a class has the same column and so the
+    same exact score; the classes in the near-tie band are rescored through
+    their smallest encodings against weight spread to natural point order,
+    built only when the band holds more than one class.  Returns
     (encoding, number of classes rescored exactly; 0 when the band holds
     one class).  Raises NonFiniteScoreError when any score is inf or NaN:
     an overflowed scoring vector leaves no trustworthy ordering of the
@@ -177,6 +191,7 @@ def _argmin_candidate(
     cands = matrix.class_enc[scores <= best + band]
     if len(cands) == 1:
         return int(cands[0]), 0
+    vec = weight[matrix.class_of[1:]]
     exact = np.array([matrix.score_exact(int(e), vec) for e in cands])
     ebest = float(exact.min())
     eband = 1e-12 * max(1.0, abs(ebest))
@@ -200,8 +215,8 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
     elif (modulus.b, modulus.m) != (b, m):
         raise ValueError(f"modulus has b={modulus.b}, m={modulus.m}; asked for b={b}, m={m}")
     if s_max > J:
-        # U and X each hold alpha(s-J)+1 rows of b^m doubles
-        need = 2 * (alpha * (s_max - J) + 1) * b**m * 8
+        # U and X each hold alpha(s-J)+1 rows of T+1 doubles, one per class slot
+        need = 2 * (alpha * (s_max - J) + 1) * ((b**m - 1) // (b - 1) + 1) * 8
         if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise ValueError(
                 f"SPOD buffers for s={s_max}, m={m} need {need / 2**30:.1f} GiB, "
@@ -212,6 +227,8 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
     matrix = OmegaMatrix(modulus, alpha)
     timings["omega_matrix"] = time.perf_counter() - t_phase
     N = matrix.n_points
+    slots = matrix.period + 1
+    class_of = matrix.class_of
     omega0 = omega_at_position(None, alpha, b)
     search_unit = matrix.fft_len * (matrix.fft_len.bit_length() - 1)
 
@@ -219,34 +236,41 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
     chosen = []
     e_steps = []
 
-    def select(weight_full: np.ndarray, regime: str) -> int:
+    def select(weight: np.ndarray, regime: str) -> int:
         cost.search_units.append(search_unit)
         if not chosen:
             chosen.append(1)
             return 1
         t_score = time.perf_counter()
-        vec = weight_full[1:]
-        scores = matrix.multiply(vec)
-        enc, n_rescored = _argmin_candidate(scores, matrix, vec, len(chosen) + 1, regime)
+        # the FFT input sums each class over its b-1 points as f + f + ... + f,
+        # left to right like a fold point by point; (b-1) f would round
+        # differently from b = 7 on
+        f = weight[1:]
+        scores = matrix.multiply(sum([f] * (b - 2), f))
+        enc, n_rescored = _argmin_candidate(scores, matrix, weight, len(chosen) + 1, regime)
         cost.rescored.append(n_rescored)
         chosen.append(enc)
         timings["scoring"] += time.perf_counter() - t_score
         return enc
 
     def full_column(enc: int) -> np.ndarray:
-        col = np.empty(N)
+        col = np.empty(slots)
         col[0] = omega0
-        col[1:] = matrix.column(enc)
+        col[1:] = matrix.class_column(enc)
         return col
 
-    Y = np.ones(N)
+    def mean(x: np.ndarray) -> float:
+        # np.sum over all N points in natural order rounds as with one entry per point
+        return float(np.sum(x[class_of])) / N
+
+    Y = np.ones(slots)
     t_phase = time.perf_counter()
     for s in range(1, min(J, s_max) + 1):
         G_s = sum(math.factorial(nu) * order_weight(s, nu, spec) for nu in range(1, alpha + 1))
-        V = np.ones(N)
+        V = np.ones(slots)
         for _t in range(alpha):
             V = V * (1.0 + full_column(select(V * Y, "product")))
-            e_steps.append(float(np.sum((1.0 + G_s * (V - 1.0)) * Y)) / N - 1.0)
+            e_steps.append(mean((1.0 + G_s * (V - 1.0)) * Y) - 1.0)
         Y = (1.0 + G_s * (V - 1.0)) * Y
     timings["product"] = time.perf_counter() - t_phase - timings["scoring"]
 
@@ -256,7 +280,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         t_phase = time.perf_counter()
         n_chosen, n_scored = len(chosen), len(cost.rescored)
         try:
-            e_steps += _spod_regime(spec, s_max, S1, select, full_column, cost, _CAP_MARGIN)
+            e_steps += _spod_regime(spec, s_max, S1, select, full_column, mean, cost, _CAP_MARGIN)
         except _CapTripped:
             cost.spod_rerun = True
         if cost.spod_rerun:
@@ -265,7 +289,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             del chosen[n_chosen:], cost.search_units[n_chosen:], cost.rescored[n_scored:]
             cost.spod_assembly_units.clear()
             cost.spod_update_units.clear()
-            e_steps += _spod_regime(spec, s_max, S1, select, full_column, cost, 0.0)
+            e_steps += _spod_regime(spec, s_max, S1, select, full_column, mean, cost, 0.0)
         timings["spod_recursion"] = time.perf_counter() - t_phase - (timings["scoring"] - scored)
 
     q = tuple(GfPoly.from_int(b, enc) for enc in chosen)
@@ -352,7 +376,8 @@ def _certify_cap(U_rows, K, A, gval, L, W, S2_prev) -> np.ndarray:
             reach = sum(gval[nu] * math.perm(k + nu, nu) for nu in range(K + 1 - k, alpha + 1))
             xtail += reach * np.abs(U_rows[k])
         ok = (
-            math.isfinite(W.sum() + S2_prev.sum())
+            np.isfinite(W).all()
+            and np.isfinite(S2_prev).all()
             and np.all(2.0 * xtail + _CAP_SLACK < quarter_ulp * np.abs(W))
             and np.all(2.0 * A + _CAP_SLACK < quarter_ulp * np.abs(S2_prev))
         )
@@ -361,25 +386,27 @@ def _certify_cap(U_rows, K, A, gval, L, W, S2_prev) -> np.ndarray:
     return xtail
 
 
-def _spod_regime(spec, s_max, S1, select, full_column, cost, cap_margin) -> list:
+def _spod_regime(spec, s_max, S1, select, full_column, mean, cost, cap_margin) -> list:
     """Blocks J+1..s_max of the search; returns their per-step criteria.
 
+    S1 and every per-point row hold one entry per class slot; mean averages
+    such a vector over all points, and the unit counts stay per point.
     With cap_margin > 0 the sweep may stop at an order cap K; a capped block
     whose certificate fails raises _CapTripped, and the caller reruns the
     regime with cap_margin 0.
     """
     alpha, J = spec.alpha, spec.J
-    N = S1.size
+    N, slots = cost.n_points, S1.size
     one_plus_S1 = 1.0 + S1
     L_max = alpha * (s_max - J)
-    U = np.zeros((L_max + 1, N))
+    U = np.zeros((L_max + 1, slots))
     U[0] = 1.0
-    X = np.zeros((L_max + 1, N))
+    X = np.zeros((L_max + 1, slots))
     U_rows, X_rows = list(U), list(X)
-    W = np.empty(N)
-    S2_prev = np.zeros(N)
-    vm1 = np.empty(N)
-    row = np.empty(N)
+    W = np.empty(slots)
+    S2_prev = np.zeros(slots)
+    vm1 = np.empty(slots)
+    row = np.empty(slots)
     # gtab[s - J - 1] holds gamma_s(1..alpha), perm[ell][nu - 1] = perm(ell, nu)
     gtab = [[order_weight(s, nu, spec) for nu in range(1, alpha + 1)]
             for s in range(J + 1, s_max + 1)]
@@ -423,15 +450,15 @@ def _spod_regime(spec, s_max, S1, select, full_column, cost, cap_margin) -> list
                 spec, s, gtab[s - J - 1 :], U_rows, L_prev, W, S2_prev, cap_margin
             )
             if excess < 0:
-                K, A = L, np.zeros(N)  # block s swept every row: no tail yet
+                K, A = L, np.zeros(slots)  # block s swept every row: no tail yet
                 cost.spod_order_cap = K
             else:
                 predict_at = s + 1 + int(min(excess, 120.0) // _CAP_FALL)
-        V = np.ones(N)
+        V = np.ones(slots)
         for _t in range(alpha):
             V = V * (1.0 + full_column(select(V * W * one_plus_S1, "SPOD")))
             S2 = S2_prev + (V - 1.0) * W
-            e_steps.append(float(np.sum(S1 + S2 * one_plus_S1)) / N)
+            e_steps.append(mean(S1 + S2 * one_plus_S1))
         np.subtract(V, 1.0, out=vm1)
         if xtail is not None:
             A += np.abs(vm1) * xtail

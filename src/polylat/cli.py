@@ -483,8 +483,9 @@ def run_selftest(seed: int = 2026) -> dict:
         for _ in range(5):
             vec = rng.standard_normal(om.size)
             ref = multiply_naive(om, vec)
-            fast = np.empty(om.size)  # each class score, spread to every member
-            fast[om.pow_enc.reshape(b - 1, -1) - 1] = om.multiply(vec)
+            classes = om.pow_enc.reshape(b - 1, -1) - 1
+            fast = np.empty(om.size)  # vec folded per class; each score spread to every member
+            fast[classes] = om.multiply(vec[classes].sum(axis=0))
             worst = max(
                 worst, float(np.max(np.abs(fast - ref)) / max(np.max(np.abs(ref)), 1e-300))
             )

@@ -13,13 +13,19 @@ at once are one cyclic cross-correlation with c, in O(N log N).
 The correlation is shorter than b^m - 1.  lambda = g^T with
 T = (b^m-1)/(b-1) has order b-1, so it is a scalar of Z_b^*, and
 multiplying by a scalar keeps every degree: c has period T, and q and
-lambda q have the same column.  So the scoring vector, permuted to
-exponent order, is folded onto one period (the sum of its b-1 slices of
-length T), correlated with c[:T] as a real FFT zero-padded to the smallest
-power of b that is at least 2T-1 (b^m for b >= 3, 2^(m+1) for b = 2), and
-the result is one score per scalar class {lambda q}, T of them.  Exact
-rescoring of one candidate reads its column as a contiguous window of c
-stored twice, so no index is reduced mod b^m-1.
+lambda q have the same column.  The same holds for the rows: omega(n q)
+and omega(lambda n q) agree, so a per-point quantity built from columns is
+constant on each scalar class {lambda n}.  Such quantities live in T + 1
+class slots: slot 0 is the point n = 0 and slot 1 + i the class of g^i
+(class_of maps a point to its slot).  A candidate's column in class slots,
+class_column(q), is the window c2[e : e + T] at e = exp(q) mod T, one
+slice.  multiply takes the scoring vector already summed over each class
+(T entries in exponent order), correlates it with c[:T] as a real FFT
+zero-padded to the smallest power of b that is at least 2T-1 (b^m for
+b >= 3, 2^(m+1) for b = 2), and returns one score per scalar class
+{lambda q}, T of them.  Exact rescoring of one candidate reads its column
+in natural point order as a contiguous window of c stored twice, so no
+index is reduced mod b^m-1.
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell).  For a nonzero
@@ -60,8 +66,9 @@ class OmegaMatrix:
     exp_of[0] = -1, since zero has no discrete log), and the transform of
     one period c[:T], T = (b^m-1)/(b-1), padded to fft_len, used for
     scoring.  class_enc[i] is the smallest encoding of the scalar class of
-    g^i, its monic member.  Immutable after construction; multiplies are
-    pure.
+    g^i, its monic member; class_of[n] is the class slot of point n (0 for
+    n = 0, 1 + exp(n) mod T otherwise).  Immutable after construction;
+    multiplies are pure.
 
     pow_enc is built from step[n] = encoding of g n mod P, filled for every
     residue by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
@@ -109,9 +116,15 @@ class OmegaMatrix:
         while self.fft_len < 2 * self.period - 1:
             self.fft_len *= b
         self._fft_c = np.fft.rfft(self._c[: self.period], self.fft_len)
-        # _cosets[t, i] = g^(tT + i) - 1, the slot of point n = g^(tT + i) in a scoring vector
-        self._cosets = (self.pow_enc - 1).reshape(b - 1, self.period)
+        self.class_of = 1 + self.exp_of % self.period
+        self.class_of[0] = 0
         self.class_enc = self.pow_enc.reshape(b - 1, self.period).min(axis=0)
+
+    def _exponent(self, q) -> int:
+        enc = operator.index(q)
+        if not 0 < enc <= self.size:
+            raise ValueError("candidate must be nonzero of degree < m")
+        return self.exp_of[enc]
 
     def column(self, q) -> np.ndarray:
         """omega values of the column for candidate q, indexed by n-1.
@@ -121,29 +134,34 @@ class OmegaMatrix:
         window c2[exp q : exp q + b^m - 1] of the doubled column at exp n:
         one slice and one gather, no modulo.
         """
-        enc = operator.index(q)
-        if not 0 < enc <= self.size:
-            raise ValueError("candidate must be nonzero of degree < m")
-        e = self.exp_of[enc]
+        e = self._exponent(q)
         return self._c2[e : e + self.size][self.exp_of[1:]]
 
-    def multiply(self, vec: np.ndarray) -> np.ndarray:
+    def class_column(self, q) -> np.ndarray:
+        """omega values of the column for candidate q, indexed by class slot - 1.
+
+        Entry i is omega(g^i q mod P) = c[(i + exp q) mod T], the window
+        c2[e : e + T] at e = exp q mod T: a view, no gather.  So
+        class_column(q)[class_of[n] - 1] == column(q)[n - 1] for every n > 0.
+        """
+        e = self._exponent(q) % self.period
+        return self._c2[e : e + self.period]
+
+    def multiply(self, u: np.ndarray) -> np.ndarray:
         """The scores sum_n omega(y^(n)(q)) vec[n-1] of all scalar classes.
 
-        vec is indexed by point index n = 1..b^m-1.  Every member of a
-        class {lambda q} has the same column, so the result holds one score
-        per class, T in all, in exponent order: entry i is the class of
-        g^i, whose smallest encoding is class_enc[i].  One padded real-FFT
+        u[i] is the scoring vector vec summed over the class of g^i, the
+        points n = g^(tT + i), t < b-1: c[(i + tT + k) mod M] = c[(i+k) mod T],
+        so those points share every column entry.  Every member of a class
+        {lambda q} has the same column, so the result holds one score per
+        class, T in all, in exponent order: entry i is the class of g^i,
+        whose smallest encoding is class_enc[i].  One padded real-FFT
         correlation over a period; agrees with oracle.multiply_naive to
         ~1e-12 relative.
         """
-        M, T, L = self.size, self.period, self.fft_len
-        if vec.shape != (M,):
-            raise ValueError(f"expected vector of length {M}")
-        # u[i] = sum_t vec at n = g^(tT + i), since c[(i + tT + k) mod M] = c[(i+k) mod T]
-        u = vec[self._cosets[0]]
-        for coset in self._cosets[1:]:
-            u += vec[coset]
+        T, L = self.period, self.fft_len
+        if u.shape != (T,):
+            raise ValueError(f"expected vector of length {T}")
         # linear correlation lin[t] = sum_i c[i+t] u[i], negative lags at the end
         lin = np.fft.irfft(self._fft_c * np.conj(np.fft.rfft(u, L)), L)
         w = lin[:T]  # w[k] = sum_i c[(i+k) mod T] u[i] = lin[k] + lin[k-T]

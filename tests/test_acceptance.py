@@ -140,8 +140,9 @@ def test_criterion_4_fft_correctness():
         om = OmegaMatrix(find_irreducible(b, m), 2)
         for _ in range(20):
             vec = rng.standard_normal(om.size)
-            fastv = np.empty(om.size)  # each class score, spread to every member
-            fastv[om.pow_enc.reshape(b - 1, -1) - 1] = om.multiply(vec)
+            classes = om.pow_enc.reshape(b - 1, -1) - 1
+            fastv = np.empty(om.size)  # vec folded per class; each score spread to every member
+            fastv[classes] = om.multiply(vec[classes].sum(axis=0))
             ref = multiply_naive(om, vec)
             worst = max(
                 worst, float(np.max(np.abs(fastv - ref)) / max(np.max(np.abs(ref)), 1e-300))

@@ -1,13 +1,16 @@
-"""The benchmark's name contract: every polylat name perfbench/ reaches must exist.
+"""The benchmark's contract: every polylat name perfbench/ reaches must exist.
 
 perfbench/ runs outside this suite, so a deleted or renamed name it wraps or
 calls would only show when the benchmark runs.  The tracer's boundaries and
 every `pl.<module>.<name>` chain in its sources are resolved here against the
-modules already imported, without re-importing polylat.
+modules already imported, without re-importing polylat.  A few of the
+benchmark's golden constructions are replayed here too, from its own inputs
+and digests.
 """
 
 import importlib
 import importlib.util
+import json
 import re
 import types
 from pathlib import Path
@@ -51,3 +54,18 @@ def test_every_called_name_resolves():
         for attr in chain.split("."):
             assert hasattr(obj, attr), f"pl.{chain} is gone"
             obj = getattr(obj, attr)
+
+
+def test_spod_heavy_digests_replay():
+    # b = 2, m = 12: score_exact's dot products hold N - 1 = 4095 entries,
+    # below OpenBLAS's 10,000-entry threshold for splitting one across
+    # threads, so the tie rescoring and these digests do not depend on the
+    # thread count
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["workloads"]["spod-heavy"]
+    inputs = WORKLOADS.make_inputs(PL, WORKLOADS.WORKLOADS["spod-heavy"], 0)
+    wl = inputs.workload
+    for modulus, _spots in inputs.moduli[:3]:
+        want = golden[WORKLOADS.modulus_key(PL, modulus)]
+        res = PL.cbc.fast_cbc(inputs.spec, wl.m, wl.s, modulus=modulus)
+        got = WORKLOADS.construct_digest(PL, res)
+        assert got == {name: want[name] for name in got}, WORKLOADS.modulus_key(PL, modulus)

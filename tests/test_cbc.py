@@ -422,6 +422,17 @@ class TestMemoryGuard:
         assert "s=1000000000000" in str(exc.value) and "m=4" in str(exc.value)
         assert "GiB" in str(exc.value)
 
+    def test_counts_the_class_slots_it_allocates(self, monkeypatch):
+        # b = 3, m = 2: U and X each hold alpha s + 1 = 11 rows of T + 1 = 5
+        # class slots, 2 * 11 * 5 * 8 = 880 bytes, not 11 rows of b^m = 9 points
+        spec = spec_with(b=3, J=0)
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 880}
+        monkeypatch.setattr(cbc.os, "sysconf", memory.__getitem__)
+        assert len(fast_cbc(spec, 2, 5).gen_vector.q) == 10
+        memory["SC_PHYS_PAGES"] = 879
+        with pytest.raises(ValueError, match="more than the physical memory"):
+            fast_cbc(spec, 2, 5)
+
 
 class TestModulusMismatch:
     """A modulus over another base or of another degree is refused before any work."""
@@ -476,6 +487,36 @@ class TestRescoredCount:
         assert unique_steps > 0
         # step 2, scored against q = 1 alone, ties several classes in each case
         assert tied_steps > 0 and res.cost.rescored[0] > 1
+
+
+class TestClassSlots:
+    @pytest.mark.parametrize("b,m", [(5, 3), (7, 2)])
+    def test_fft_input_is_the_point_by_point_fold(self, monkeypatch, b, m):
+        # the search keeps one value per class slot; the FFT input is still
+        # the natural-order scoring vector summed over each class's b-1
+        # points in turn, bit for bit (at b = 7, 6 times the slot rounds otherwise)
+        seen = []
+        multiply, argmin = OmegaMatrix.multiply, cbc._argmin_candidate
+
+        def spy_multiply(self, u):
+            seen.append(u.copy())
+            return multiply(self, u)
+
+        def spy_argmin(scores, matrix, weight, step, regime):
+            seen.append((matrix, weight.copy()))
+            return argmin(scores, matrix, weight, step, regime)
+
+        monkeypatch.setattr(OmegaMatrix, "multiply", spy_multiply)
+        monkeypatch.setattr(cbc, "_argmin_candidate", spy_argmin)
+        res = fast_cbc(spec_with(b=b, J=1), m, 3)
+        assert len(seen) == 2 * (res.d - 1)
+        for u, (om, weight) in zip(seen[::2], seen[1::2]):
+            vec = weight[om.class_of[1:]]
+            cosets = om.pow_enc.reshape(b - 1, om.period) - 1
+            fold = vec[cosets[0]]
+            for coset in cosets[1:]:
+                fold = fold + vec[coset]
+            assert u.tobytes() == fold.tobytes()
 
 
 class TestSidecar:
@@ -568,6 +609,8 @@ class TestOrderCap:
                     X[ell] += order_weight(s, nu, spec) * math.perm(ell, nu) * U[ell - nu]
             if s in seen:
                 K, A, xtail = seen[s]
+                # A and xtail hold one entry per class slot
+                A, xtail = A[om.class_of], xtail[om.class_of]
                 assert np.all(np.abs(U[K + 1 :]).sum(axis=0) <= A * (1 + 1e-12)), s
                 assert np.all(np.abs(X[K + 1 :]).sum(axis=0) <= xtail * (1 + 1e-12)), s
             V = np.ones(N)
@@ -575,6 +618,20 @@ class TestOrderCap:
                 col[1:] = om.column(q.to_int())
                 V *= 1.0 + col
             U[1 : L + 1] += (V - 1.0) * X[1:]
+
+    def test_certificate_checks_finiteness_point_by_point(self):
+        # W and S2_prev near the top of the float range are finite even
+        # though their sums overflow; a single inf at one point trips the cap
+        U_rows = list(np.zeros((5, 4)))
+        gval = {1: 0.5, 2: 0.25}
+        W, S2_prev = np.full(4, 1e308), np.full(4, 1e308)
+        xtail = cbc._certify_cap(U_rows, 2, np.zeros(4), gval, 4, W, S2_prev)
+        assert np.all(xtail == 0.0)
+        for bad in (W, S2_prev):
+            bad[2] = np.inf
+            with pytest.raises(cbc._CapTripped):
+                cbc._certify_cap(U_rows, 2, np.zeros(4), gval, 4, W, S2_prev)
+            bad[2] = 1e308
 
     def test_premature_cap_reruns_without_it(self, monkeypatch):
         spec = spec_with(J=0)

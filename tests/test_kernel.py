@@ -53,9 +53,15 @@ MULTIPLY_CASES = random_multiply_cases(16, seed=10)
 
 
 def candidate_scores(om, vec):
-    """om.multiply's class scores spread to every candidate, indexed by encoding - 1."""
+    """Scores of every candidate, indexed by encoding - 1, for vec indexed by n - 1.
+
+    vec is folded onto its scalar classes (row t of the reshape holds the
+    points g^(tT + i)) for om.multiply, and each class score is spread back
+    to every member of its class.
+    """
+    classes = om.pow_enc.reshape(om.b - 1, om.period) - 1
     out = np.empty(om.size)
-    out[om.pow_enc.reshape(om.b - 1, om.period) - 1] = om.multiply(vec)
+    out[classes] = om.multiply(vec[classes].sum(axis=0))
     return out
 
 
@@ -218,7 +224,7 @@ class TestOmegaMatrix:
 
     def test_multiply_zero_vector(self):
         om = OmegaMatrix(find_irreducible(2, 5), 2)
-        out = om.multiply(np.zeros(om.size))
+        out = om.multiply(np.zeros(om.period))
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_multiply_unit_vector_reads_row(self):
@@ -280,7 +286,7 @@ class TestOmegaMatrix:
         # the argmin rescores it through class_enc[i]
         om = OmegaMatrix(find_irreducible(b, m), 2)
         T = om.period
-        assert om.class_enc.shape == (T,) and om.multiply(np.ones(om.size)).shape == (T,)
+        assert om.class_enc.shape == (T,) and om.multiply(np.ones(T)).shape == (T,)
         for i in range(T):
             members = om.pow_enc[i::T]
             enc = int(om.class_enc[i])
@@ -292,6 +298,29 @@ class TestOmegaMatrix:
             assert multiples == set(members.tolist()), i
             col = om.column(enc).tobytes()
             assert all(om.column(int(e)).tobytes() == col for e in members), i
+
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_class_slots_hold_the_natural_column(self, b, m):
+        # slot 0 is the point 0 and slot 1 + i the class of g^i; read through
+        # class_of, the class-slot column is the natural-order column, bit for bit
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        T = om.period
+        assert om.class_of.shape == (b**m,) and om.class_of.dtype == np.int64
+        assert om.class_of[0] == 0
+        for i in range(T):
+            assert np.all(om.class_of[om.pow_enc[i::T]] == 1 + i), i
+        for q in range(1, b**m):
+            slots = om.class_column(q)
+            assert slots.shape == (T,) and np.shares_memory(slots, om._c2)  # a view
+            assert slots[om.class_of[1:] - 1].tobytes() == om.column(q).tobytes(), q
+        for q in (0, b**m):
+            with pytest.raises(ValueError):
+                om.class_column(q)
+
+    def test_multiply_takes_one_entry_per_class(self):
+        om = OmegaMatrix(find_irreducible(3, 4), 2)
+        with pytest.raises(ValueError, match="length 40"):
+            om.multiply(np.ones(om.size))
 
     def test_column_orientation_symmetric(self):
         # entry(n, q) = omega(residue of n*q) is symmetric in (n, q)
