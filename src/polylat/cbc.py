@@ -477,10 +477,6 @@ class BoundCheck:
     ok: bool
     tightest_lambda: float | None
 
-    @property
-    def violations(self):
-        return [e for e in self.entries if not e["ok"]]
-
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -489,10 +485,10 @@ class BoundCheck:
         }
 
 
-def default_lambda_grid(alpha: int, size: int = 10):
-    """size equally spaced values in (1/alpha, 1], endpoint included."""
+def default_lambda_grid(alpha: int):
+    """Ten equally spaced values in (1/alpha, 1], endpoint included."""
     lo = 1.0 / alpha
-    return [lo + (1.0 - lo) * (i + 1) / size for i in range(size)]
+    return [lo + (1.0 - lo) * (i + 1) / 10 for i in range(10)]
 
 
 def verify_bound(result: CbcResult, spec: WeightSpec, lambda_grid=None) -> BoundCheck:

@@ -8,7 +8,7 @@ underscores (plus beta_values on the weight commands) and, optionally,
 embeds its resolved configuration in that form, so --config replays it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical or
-oracle failure.
+oracle failure, or out of memory.
 """
 
 import argparse
@@ -16,13 +16,10 @@ import dataclasses
 import json
 import os
 import sys
+import math
 import warnings
 
-import numpy as np
-
 from .cbc import default_lambda_grid, fast_cbc, verify_bound
-from .gfpoly import find_irreducible
-from .kernel import OmegaMatrix
 # classical_digit_array and interlace_digit_array are unused here but stay
 # importable from this module: the benchmark's tracer wraps them by name
 from .pointgen import (
@@ -213,6 +210,13 @@ def _check_file_values(data: dict, actions: dict) -> dict:
     """Config-file values through their option's type and choices, as a flag's would go."""
     out = {}
     for name, value in data.items():
+        if value is not None and name == "beta_values" and not (
+            isinstance(value, list) and value
+            and all(type(v) in (int, float) and math.isfinite(v) for v in value)
+        ):
+            raise UsageError(f"field 'beta_values': need a nonempty list of numbers, got {value!r}")
+        if value is not None and name in ("out", "gv") and not isinstance(value, str):
+            raise UsageError(f"field '{name}': need a path string, got {value!r}")
         action = actions.get(name)  # beta_values has no flag
         if value is None or action is None:
             out[name] = value
@@ -446,89 +450,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     return 0
 
 
-# -- selftest ------------------------------------------------------------------
-
-
-def run_selftest(seed: int = 2026) -> dict:
-    """Oracle suite: fast-vs-slow CBC, FFT-vs-naive, direct-criterion, bounds."""
-    from .oracle import criterion_from_columns, multiply_naive, pure_omega_column, slow_cbc
-
-    checks = []
-    beta = DecaySequence.power(0.4, 2.0, p=0.6)
-    runs = []
-    for alpha, J in [(2, 0), (2, 1), (2, 2)]:
-        spec = WeightSpec(alpha=alpha, b=2, J=J, beta=beta)
-        fast = fast_cbc(spec, 3, 2)
-        slow = slow_cbc(spec, 3, 2)
-        runs.append((spec, fast))
-        same = [q.to_int() for q in fast.gen_vector.q] == [
-            q.to_int() for q in slow.gen_vector.q
-        ]
-        rel = max(
-            abs(a - b) / max(abs(b), 1e-300)
-            for a, b in zip(fast.criterion_per_step, slow.criterion_per_step)
-        )
-        checks.append(
-            {
-                "name": f"cbc-oracle alpha={alpha} J={J}",
-                "ok": bool(same and rel <= 1e-9),
-                "detail": f"vectors {'match' if same else 'DIFFER'}, criterion rel {rel:.2e}",
-            }
-        )
-
-    rng = np.random.default_rng(seed)
-    for b, m in [(2, 6), (3, 4)]:
-        om = OmegaMatrix(find_irreducible(b, m), 2)
-        worst = 0.0
-        for _ in range(5):
-            vec = rng.standard_normal(om.size)
-            ref = multiply_naive(om, vec)
-            classes = om.pow_enc.reshape(b - 1, -1) - 1
-            fast = np.empty(om.size)  # vec folded per class; each score spread to every member
-            fast[classes] = om.multiply(vec[classes].sum(axis=0))
-            worst = max(
-                worst, float(np.max(np.abs(fast - ref)) / max(np.max(np.abs(ref)), 1e-300))
-            )
-        checks.append(
-            {
-                "name": f"fft-vs-naive b={b} m={m}",
-                "ok": bool(worst <= 1e-9),
-                "detail": f"max rel {worst:.2e}",
-            }
-        )
-
-    for spec, fast in runs[:1] + runs[-1:]:
-        gv = fast.gen_vector
-        worst = 0.0
-        for d in range(1, gv.d + 1):
-            cols = [
-                pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)
-            ]
-            ref = criterion_from_columns(cols, spec)
-            worst = max(
-                worst, abs(fast.criterion_per_step[d - 1] - ref) / max(abs(ref), 1e-300)
-            )
-        checks.append(
-            {
-                "name": f"direct-criterion J={spec.J}",
-                "ok": bool(worst <= 1e-9),
-                "detail": f"max rel {worst:.2e}",
-            }
-        )
-
-    for spec, fast in runs:
-        check = verify_bound(fast, spec)
-        checks.append(
-            {
-                "name": f"cbc-bound J={spec.J}",
-                "ok": bool(check.ok),
-                "detail": f"tightest lambda {check.tightest_lambda}",
-            }
-        )
-    return {"ok": all(c["ok"] for c in checks), "checks": checks}
-
-
 def cmd_selftest(cfg: RunConfig) -> int:
+    from .oracle import run_selftest
+
     report = run_selftest(seed=cfg.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 2
@@ -550,8 +474,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"polylat: invalid config: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"polylat: computation failed: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # pocketfft raises a bare MemoryError
+        print(f"polylat: computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

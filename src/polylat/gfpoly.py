@@ -3,7 +3,7 @@
 Polynomials over the prime field Z_b are the atoms of every polynomial
 lattice construction: point coordinates are truncations of the formal
 Laurent series n(x)q(x)/P(x) in x^{-1}, with P irreducible of degree m.
-This module provides the ring operations, an irreducibility test, the
+This module provides multiplication mod P, an irreducibility test, the
 deterministic choice of modulus, Laurent digit extraction, and the b-adic
 doubling that applies a Z_b-linear map to every digit vector at once.
 
@@ -38,13 +38,9 @@ def _prime_factors(n: int):
     return out
 
 
-def is_prime(b: int) -> bool:
-    """Trial-division primality check for small bases."""
-    return b >= 2 and _prime_factors(b) == [b]
-
-
 def check_prime_base(b: int) -> int:
-    if not isinstance(b, int) or not is_prime(b):
+    """b, checked to be a small prime by trial division."""
+    if not isinstance(b, int) or b < 2 or _prime_factors(b) != [b]:
         raise ValueError(f"base must be a small prime, got {b!r}")
     return b
 
@@ -110,30 +106,6 @@ class GfPoly:
 def _check_same_base(a: GfPoly, c: GfPoly):
     if a.b != c.b:
         raise ValueError(f"base mismatch: {a.b} vs {c.b}")
-
-
-def poly_add(a: GfPoly, c: GfPoly) -> GfPoly:
-    """Coefficient-wise sum mod b."""
-    _check_same_base(a, c)
-    n = max(len(a.coeffs), len(c.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cc = c.coeffs + (0,) * (n - len(c.coeffs))
-    return GfPoly(a.b, tuple((x + y) % a.b for x, y in zip(ca, cc)))
-
-
-def poly_mul(a: GfPoly, c: GfPoly) -> GfPoly:
-    """Plain polynomial product in Z_b[x]."""
-    _check_same_base(a, c)
-    return GfPoly(a.b, tuple(v % a.b for v in _mul(a.coeffs, c.coeffs)))
-
-
-def poly_divmod(a: GfPoly, d: GfPoly):
-    """Quotient and remainder of a by d (d nonzero)."""
-    _check_same_base(a, d)
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    quot, rem = _divmod(a.coeffs, d.coeffs, a.b)
-    return GfPoly(a.b, tuple(quot)), GfPoly(a.b, tuple(rem))
 
 
 def is_irreducible(p: GfPoly) -> bool:
@@ -224,13 +196,6 @@ class DigitVector:
         for t in reversed(self.digits):
             v = (v + t) / self.b
         return v
-
-    def leading_position(self):
-        """1-based index of the first nonzero digit, or None if all zero."""
-        for i, t in enumerate(self.digits):
-            if t:
-                return i + 1
-        return None
 
 
 def laurent_digits(n_poly: GfPoly, q: GfPoly, modulus: Modulus, precision: int) -> DigitVector:

@@ -90,7 +90,10 @@ class OmegaMatrix:
         self.generator = primitive_element(modulus)
         digits = np.zeros((self.n_points, m), dtype=np.min_scalar_type(2 * b - 1))
         fill_by_doubling(digits, mul_mod_matrix(self.generator, modulus), b)
-        step = digits @ b ** np.arange(m, dtype=np.int64)
+        step = np.zeros(self.n_points, dtype=np.int64)
+        for k in reversed(range(m)):  # Horner, not digits @ b^k: no int64 copy of digits
+            step *= b
+            step += digits[:, k]
         self.pow_enc = np.ones(M, dtype=np.int64)  # g^0 = 1; the rest is overwritten
         L = 1
         while L < M:

@@ -1,10 +1,12 @@
 """Reference implementations the production path is checked against.
 
 Each function computes from its definition what a production module
-computes faster: omega columns by long division, the score product by
-dot products, the search criterion as the literal 2^d subset sum.  Costs
-are quadratic or exponential and guarded.  No production module imports
-this one; `polylat selftest` loads it inside the command.
+computes faster: Z_b[x] arithmetic coefficient by coefficient, omega
+columns by long division, the score product by dot products, the search
+criterion as the literal 2^d subset sum, and the digit file parsed
+character by character.  Costs are quadratic or exponential and guarded.
+run_selftest is the oracle suite of `polylat selftest`, which loads this
+module inside the command; no production module imports it.
 """
 
 import math
@@ -12,15 +14,65 @@ import time
 
 import numpy as np
 
-from .cbc import CbcResult, CostLog
-from .gfpoly import DigitVector, GfPoly, Modulus, find_irreducible, laurent_digits
+from .cbc import CbcResult, CostLog, fast_cbc, verify_bound
+from .gfpoly import (
+    DigitVector,
+    GfPoly,
+    Modulus,
+    _check_same_base,
+    find_irreducible,
+    laurent_digits,
+)
 from .kernel import OmegaMatrix, omega_at_position
 from .pointgen import GeneratingVector
-from .weights import WeightSpec, _block_factor, _fact, _order_poly, _product_order_sum
+from .weights import (
+    DecaySequence,
+    WeightSpec,
+    _block_factor,
+    _fact,
+    _order_poly,
+    _product_order_sum,
+)
 
 # direct-criterion guard rails: 2^d subsets, table of 2^d x N products
 MAX_DIRECT_DIM = 18
 MAX_DIRECT_CELLS = 1 << 27
+
+
+def poly_add(a: GfPoly, c: GfPoly) -> GfPoly:
+    """Coefficient-wise sum mod b."""
+    _check_same_base(a, c)
+    n = max(len(a.coeffs), len(c.coeffs))
+    ca = a.coeffs + (0,) * (n - len(a.coeffs))
+    cc = c.coeffs + (0,) * (n - len(c.coeffs))
+    return GfPoly(a.b, tuple((x + y) % a.b for x, y in zip(ca, cc)))
+
+
+def poly_mul(a: GfPoly, c: GfPoly) -> GfPoly:
+    """Product in Z_b[x]: coefficient k is sum_{i+j=k} a_i c_j mod b."""
+    _check_same_base(a, c)
+    out = [0] * max(len(a.coeffs) + len(c.coeffs) - 1, 0)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(c.coeffs):
+            out[i + j] += x * y
+    return GfPoly(a.b, tuple(v % a.b for v in out))
+
+
+def poly_divmod(a: GfPoly, d: GfPoly):
+    """Quotient and remainder of a by d (d nonzero), one leading term at a time."""
+    _check_same_base(a, d)
+    if d.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    b, n = a.b, len(d.coeffs) - 1
+    inv_lead = pow(d.coeffs[-1], b - 2, b)
+    rem = list(a.coeffs)
+    quot = [0] * max(len(rem) - n, 0)
+    for k in range(len(rem) - 1, n - 1, -1):  # cancel x^k with t x^(k-n) d
+        t = rem[k] * inv_lead % b
+        quot[k - n] = t
+        for i, y in enumerate(d.coeffs):
+            rem[k - n + i] = (rem[k - n + i] - t * y) % b
+    return GfPoly(b, tuple(quot)), GfPoly(b, tuple(rem[:n]))
 
 
 def truncate_digits(digits: DigitVector, m: int) -> DigitVector:
@@ -48,11 +100,16 @@ def mu_alpha(k: int, alpha: int, b: int) -> int:
     return sum(sorted(positions, reverse=True)[:alpha])
 
 
+def leading_position(y: DigitVector):
+    """1-based index of the first nonzero digit of y, or None if all are zero."""
+    return next((i + 1 for i, t in enumerate(y.digits) if t), None)
+
+
 def omega(y: DigitVector, alpha: int) -> float:
     """The kernel omega(y) evaluated on an exact digit expansion."""
     if alpha < 2:
         raise ValueError("order must be >= 2")
-    return omega_at_position(y.leading_position(), alpha, y.b)
+    return omega_at_position(leading_position(y), alpha, y.b)
 
 
 def pure_omega_column(modulus: Modulus, q: GfPoly, alpha: int) -> np.ndarray:
@@ -231,3 +288,70 @@ def slow_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         cost=CostLog(n_points=N),
         spec=spec,
     )
+
+
+def read_points_digits(path, b: int) -> np.ndarray:
+    """Inverse of pointgen.write_points_digits; exact round trip."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    rows = [ln.split(",") for ln in lines[1:]]
+    out = np.array(
+        [[[int(ch) for ch in coord] for coord in row] for row in rows], dtype=np.uint8
+    )
+    if out.size and out.max() >= b:
+        raise ValueError(f"digit {out.max()} out of range for base {b}")
+    return out
+
+
+def run_selftest(seed: int = 2026) -> dict:
+    """Oracle suite: fast-vs-slow CBC, FFT-vs-naive, direct-criterion, bounds."""
+    checks = []
+
+    def check(name: str, ok, detail: str):
+        checks.append({"name": name, "ok": bool(ok), "detail": detail})
+
+    beta = DecaySequence.power(0.4, 2.0, p=0.6)
+    runs = []
+    for alpha, J in [(2, 0), (2, 1), (2, 2)]:
+        spec = WeightSpec(alpha=alpha, b=2, J=J, beta=beta)
+        fast = fast_cbc(spec, 3, 2)
+        slow = slow_cbc(spec, 3, 2)
+        runs.append((spec, fast))
+        same = fast.gen_vector.q == slow.gen_vector.q
+        rel = max(
+            abs(a - b) / max(abs(b), 1e-300)
+            for a, b in zip(fast.criterion_per_step, slow.criterion_per_step)
+        )
+        check(f"cbc-oracle alpha={alpha} J={J}", same and rel <= 1e-9,
+              f"vectors {'match' if same else 'DIFFER'}, criterion rel {rel:.2e}")
+
+    rng = np.random.default_rng(seed)
+    for b, m in [(2, 6), (3, 4)]:
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        worst = 0.0
+        for _ in range(5):
+            vec = rng.standard_normal(om.size)
+            ref = multiply_naive(om, vec)
+            classes = om.pow_enc.reshape(b - 1, -1) - 1
+            fast = np.empty(om.size)  # vec folded per class; each score spread to every member
+            fast[classes] = om.multiply(vec[classes].sum(axis=0))
+            worst = max(
+                worst, float(np.max(np.abs(fast - ref)) / max(np.max(np.abs(ref)), 1e-300))
+            )
+        check(f"fft-vs-naive b={b} m={m}", worst <= 1e-9, f"max rel {worst:.2e}")
+
+    for spec, fast in runs[:1] + runs[-1:]:
+        gv = fast.gen_vector
+        worst = 0.0
+        for d in range(1, gv.d + 1):
+            cols = [pure_omega_column(gv.modulus, gv.q[j], spec.alpha) for j in range(d)]
+            ref = criterion_from_columns(cols, spec)
+            worst = max(
+                worst, abs(fast.criterion_per_step[d - 1] - ref) / max(abs(ref), 1e-300)
+            )
+        check(f"direct-criterion J={spec.J}", worst <= 1e-9, f"max rel {worst:.2e}")
+
+    for spec, fast in runs:
+        bound = verify_bound(fast, spec)
+        check(f"cbc-bound J={spec.J}", bound.ok, f"tightest lambda {bound.tightest_lambda}")
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}

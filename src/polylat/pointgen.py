@@ -101,13 +101,24 @@ class GeneratingVector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeneratingVector":
-        b = int(data["b"])
+        if not isinstance(data, dict):
+            raise ValueError("top level must be a JSON object")
+        for key in ("b", "m", "alpha", "s"):
+            if type(data[key]) is not int:
+                raise ValueError(f"field {key!r} must be an integer, got {data[key]!r}")
+        if data["b"] > 7:  # before any primality test, which is trial division
+            raise ValueError("field 'b': digit strings hold bases up to 7")
+        if not isinstance(data["P"], str):
+            raise ValueError(f"field 'P' must be a digit string, got {data['P']!r}")
+        if not (isinstance(data["q"], list) and all(isinstance(v, str) for v in data["q"])):
+            raise ValueError(f"field 'q' must be a list of digit strings, got {data['q']!r}")
+        b = data["b"]
         modulus = Modulus(poly_from_string(b, data["P"]))
-        if modulus.m != int(data["m"]):
+        if modulus.m != data["m"]:
             raise ValueError("modulus degree does not match field 'm'")
         q = tuple(poly_from_string(b, s) for s in data["q"])
-        gv = cls(modulus=modulus, alpha=int(data["alpha"]), q=q)
-        if gv.s != int(data["s"]):
+        gv = cls(modulus=modulus, alpha=data["alpha"], q=q)
+        if gv.s != data["s"]:
             raise ValueError("field 's' does not match len(q)/alpha")
         return gv
 
@@ -130,9 +141,6 @@ class DigitPoint:
     """One point, coordinate-wise exact digit expansions."""
 
     coords: tuple
-
-    def values(self) -> np.ndarray:
-        return np.array([c.value() for c in self.coords])
 
 
 # -- bulk digit generation ---------------------------------------------------
@@ -526,15 +534,3 @@ def write_points_digits(path, blocks, b: int):
             text[:, -1, L] = ord("\n")
             fh.write(text.data)  # the buffer itself, not a bytes copy
 
-
-def read_points_digits(path, b: int) -> np.ndarray:
-    """Inverse of :func:`write_points_digits`; exact round trip."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = [ln.split(",") for ln in lines[1:]]
-    out = np.array(
-        [[[int(ch) for ch in coord] for coord in row] for row in rows], dtype=np.uint8
-    )
-    if out.size and out.max() >= b:
-        raise ValueError(f"digit {out.max()} out of range for base {b}")
-    return out

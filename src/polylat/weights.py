@@ -113,16 +113,10 @@ class DecaySequence:
             doc["values"] = list(self.values)
         return doc
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DecaySequence":
-        if data["kind"] == "power":
-            return cls.power(data["c"], data["theta"], data["p"])
-        return cls.from_list(data["values"], data["p"])
 
-
-def _zeta_tail(r: float, s: int, chunk: int = 2000) -> float:
-    """sum_{j > s} j^{-r} via a partial sum plus Euler-Maclaurin remainder."""
-    M = s + chunk
+def _zeta_tail(r: float, s: int) -> float:
+    """sum_{j > s} j^{-r}: the terms below M = s + 2000, then Euler-Maclaurin from M."""
+    M = s + 2000
     js = np.arange(s + 1, M, dtype=np.float64)
     partial = float(np.sum(js**-r)) if len(js) else 0.0
     # sum_{j >= M} j^{-r} = M^{1-r}/(r-1) + M^{-r}/2 + r*M^{-r-1}/12 - O(M^{-r-3})
@@ -158,17 +152,6 @@ class WeightSpec:
             "beta": beta_doc,
             "use_prime_constant": self.use_prime_constant,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WeightSpec":
-        beta = DecaySequence.from_json_dict(dict(data["beta"], p=data["p"]))
-        return cls(
-            alpha=int(data["alpha"]),
-            b=int(data["b"]),
-            J=int(data["J"]),
-            beta=beta,
-            use_prime_constant=bool(data.get("use_prime_constant", True)),
-        )
 
 
 def wce_constant(alpha: int, b: int, rescaled: bool = True) -> float:
@@ -343,7 +326,7 @@ def cbc_bound(spec: WeightSpec, m: int, d: int, lam: float) -> float:
     return (2.0 / (float(b) ** m - 1.0) * total) ** (1.0 / lam)
 
 
-def error_constant(spec: WeightSpec, N: int, tol: float = 1e-14) -> float:
+def error_constant(spec: WeightSpec, N: int) -> float:
     """Explicit constant-times-rate bound on the integration error at N points.
 
     (2/(N-1))^{1/p} [ exp((floor(1/p)+1)!^p A) sum_l (l!)^{p-1} A^l ]^{1/p}
@@ -374,7 +357,7 @@ def error_constant(spec: WeightSpec, N: int, tol: float = 1e-14) -> float:
         series += term
         ell += 1
         term = term * A * ell ** (p - 1.0)
-        if term <= tol * series:
+        if term <= 1e-14 * series:
             series += term
             break
         if ell > 100000 or not math.isfinite(term):

@@ -116,11 +116,11 @@ def test_criterion_3_theoretical_bound(small_grid, large_runs):
     checked = 0
     for spec, _m, fast, _slow in small_grid[0]:
         chk = verify_bound(fast, spec, default_lambda_grid(spec.alpha))
-        violations += len(chk.violations)
+        violations += sum(not e["ok"] for e in chk.entries)
         checked += len(chk.entries)
     for spec, result in runs:
         chk = verify_bound(result, spec, default_lambda_grid(spec.alpha))
-        violations += len(chk.violations)
+        violations += sum(not e["ok"] for e in chk.entries)
         checked += len(chk.entries)
     elapsed = build_elapsed + (time.perf_counter() - t0)
     ok = violations == 0 and elapsed < 300.0

@@ -127,6 +127,19 @@ class TestConstruct:
         assert "constructed" not in stdout
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("message,shown", [("Unable to allocate 13.0 GiB", None),
+                                               ("", "MemoryError")])
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, message, shown):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "fast_cbc", out_of_memory)
+        out = tmp_path / "v.json"
+        code, _, err = run(CONSTRUCT + ["--out", str(out)], capsys)
+        assert code == 2
+        assert f"polylat: computation failed: {shown or message}\n" in err
+        assert not out.exists()
+
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(["construct", "--b", "2", "--alpha", "2", "--s", "2",
                             "--J", "0", "--p", "0.6"], capsys)
@@ -178,7 +191,8 @@ class TestPoints:
         from polylat.pointgen import GeneratingVector, point_for_index
 
         gv = GeneratingVector.load(gv_path)
-        want = np.array([point_for_index(gv, n).values() for n in range(gv.n_points)])
+        want = np.array([[c.value() for c in point_for_index(gv, n).coords]
+                         for n in range(gv.n_points)])
         got = np.loadtxt(pts, delimiter=",", skiprows=1)
         assert np.allclose(got, want, atol=1e-15)
 
@@ -188,6 +202,21 @@ class TestPoints:
         assert code == 1
         assert "invalid config: field 'out'" in err and "nodir" in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"q": [1, 2, 3, 4]}, {"q": "111111"}, {"P": 10011}, {"alpha": None}, {"b": True},
+        {"m": 4.0}, {"b": 2**61 - 1}, "top-level list",
+    ])
+    def test_malformed_vector_rejected(self, vector, tmp_path, capsys, change):
+        doc = json.loads(vector.read_text())
+        doc = [doc] if change == "top-level list" else dict(doc, **change)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        pts = tmp_path / "p.csv"
+        code, _, err = run(["points", "--gv", str(bad), "--out", str(pts)], capsys)
+        assert code == 1
+        assert "invalid config: field 'gv'" in err
+        assert not pts.exists()
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -544,6 +573,41 @@ class TestConfigFileValues:
         code, _, err = run(self.CONVERGE + ["--config", str(cfgfile)], capsys)
         assert code == 1
         assert "invalid config: field 'm_range'" in err
+
+    @pytest.mark.parametrize("argv,doc", [
+        (CONSTRUCT, {"out": 5}),
+        (["points", "--gv", "v.json"], {"out": 5}),
+        (CONVERGE + ["--m-range", "3:5"], {"out": 5}),
+        (["points"], {"gv": ["v.json"]}),
+        (["points"], {"gv": 5}),
+    ])
+    def test_path_values_must_be_strings(self, tmp_path, capsys, monkeypatch, argv, doc):
+        monkeypatch.chdir(tmp_path)
+        for name in ("fast_cbc", "convergence_study", "GeneratingVector"):
+            monkeypatch.setattr(cli, name, None)  # must not be reached
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        code, _, err = run(argv + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert f"invalid config: field '{next(iter(doc))}': need a path string" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("value", [5, "0.5", [], ["a"], [0.5, None], [[0.5]], [True, 0.5],
+                                       [0.5, float("nan")]])
+    def test_beta_values_must_be_a_list_of_numbers(self, tmp_path, capsys, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"beta_values": value}))
+        code, _, err = run(TestBounds.ARGS + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'beta_values'" in err
+
+    def test_beta_values_list_accepted(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"beta_values": [0.3, 1]}))
+        code, out, _ = run(TestBounds.ARGS + ["--config", str(cfgfile), "--format", "json"],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["beta_values"] == [0.3, 1]
 
 
 class TestUsePrimeConstant:

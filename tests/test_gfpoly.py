@@ -11,15 +11,12 @@ from polylat.gfpoly import (
     find_irreducible,
     is_irreducible,
     laurent_digits,
-    poly_add,
-    poly_divmod,
     poly_from_string,
-    poly_mul,
     poly_mul_mod,
     poly_to_string,
     primitive_element,
 )
-from polylat.oracle import truncate_digits
+from polylat.oracle import poly_add, poly_divmod, poly_mul, truncate_digits
 
 
 def P(b, *coeffs):

@@ -297,7 +297,7 @@ class TestGeneratingVectorIO:
             poly_to_string(GfPoly(11, (1,)))
 
     def test_digit_format_roundtrip(self, tmp_path):
-        from polylat.pointgen import read_points_digits
+        from polylat.oracle import read_points_digits
 
         gv = make_gv(3, 2, [1, 4], alpha=2)
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
