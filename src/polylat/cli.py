@@ -20,14 +20,17 @@ import math
 import warnings
 
 from .cbc import default_lambda_grid, fast_cbc, verify_bound
-# classical_digit_array and interlace_digit_array are unused here but stay
-# importable from this module: the benchmark's tracer wraps them by name
+from .gfpoly import check_prime_base
+# classical_digit_array, interlace_digit_array and digits_to_values are unused
+# here but stay importable from this module: the benchmark's tracer wraps them
+# by name
 from .pointgen import (
     GeneratingVector,
     classical_digit_array,
     digit_chunks,
     digits_to_values,
     interlace_digit_array,
+    value_chunks,
     write_points_csv,
     write_points_digits,
 )
@@ -130,11 +133,14 @@ def _load_config_file(path: str, command: str, keys) -> dict:
 
 
 def _parse_lambda_grid(grid) -> list:
+    """Values from the flag's "0.6,0.8" or a config file's list of numbers."""
     if isinstance(grid, str):
         grid = [tok for tok in grid.split(",") if tok.strip()]
+    elif not (isinstance(grid, list) and all(type(lam) in (int, float) for lam in grid)):
+        raise UsageError(f"field 'lambda_grid': need a list of numbers, got {grid!r}")
     try:
         return [float(lam) for lam in grid]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"field 'lambda_grid': {exc}") from exc
 
 
@@ -272,8 +278,10 @@ def resolve_config(argv) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.b < 2:
-        raise UsageError("field 'b': base must be a prime >= 2")
+    try:
+        check_prime_base(cfg.b)
+    except ValueError as exc:
+        raise UsageError(f"field 'b': {exc}") from exc
     if cfg.m is not None and cfg.m < 1:
         raise UsageError("field 'm': need m >= 1")
     if cfg.s is not None and cfg.s < 1:
@@ -348,12 +356,11 @@ def cmd_points(cfg: RunConfig) -> int:
         gv = GeneratingVector.load(cfg.gv)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise UsageError(f"field 'gv': cannot load generating vector: {exc}") from exc
-    chunks = digit_chunks(gv)
     out = cfg.out or "points.csv"
     if (cfg.format or "csv") == "digits":
-        write_points_digits(out, chunks, gv.b)
+        write_points_digits(out, digit_chunks(gv), gv.b)
     else:
-        write_points_csv(out, (digits_to_values(chunk, gv.b) for chunk in chunks))
+        write_points_csv(out, value_chunks(gv))
     print(f"wrote {gv.n_points} points in {gv.s} dimensions -> {out}")
     return 0
 

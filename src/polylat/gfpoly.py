@@ -39,8 +39,8 @@ def _prime_factors(n: int):
 
 
 def check_prime_base(b: int) -> int:
-    """b, checked to be a small prime by trial division."""
-    if not isinstance(b, int) or b < 2 or _prime_factors(b) != [b]:
+    """b, checked to be a prime below 2^16 by trial division (bounded first)."""
+    if not isinstance(b, int) or not 2 <= b < 1 << 16 or _prime_factors(b) != [b]:
         raise ValueError(f"base must be a small prime, got {b!r}")
     return b
 

@@ -56,6 +56,45 @@ def omega_at_position(position, alpha: int, b: int) -> float:
     return base - scale * (float(b) ** alpha - 1.0) / (float(b) ** alpha - b)
 
 
+# pointer doubling stops at blocks of this many exponents: each further
+# doubling costs a gather over all b^m residues, a further block only L entries
+_DOUBLING_ROWS = 1 << 8
+
+
+def exponent_tables(modulus: Modulus):
+    """(g, pow_enc, exp_of) for the smallest generator g of Z_b[x]/(P)^*.
+
+    pow_enc[r] is the integer encoding of g^r, r < b^m - 1, and exp_of[enc]
+    its exponent (exp_of[0] = -1, since zero has no discrete log).  pow_enc
+    is built from step[n] = encoding of g n mod P, filled for every residue
+    by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
+    pow_enc[L : 2L] = step[pow_enc[: L]], then step <- step o step, until
+    L = _DOUBLING_ROWS; then block by block, pow_enc[i : i + L] =
+    step[pow_enc[i - L : i]].
+    """
+    b, m = modulus.b, modulus.m
+    M = b**m - 1
+    generator = primitive_element(modulus)
+    digits = np.zeros((M + 1, m), dtype=np.min_scalar_type(2 * b - 1))
+    fill_by_doubling(digits, mul_mod_matrix(generator, modulus), b)
+    step = np.zeros(M + 1, dtype=np.int64)
+    for k in reversed(range(m)):  # Horner, not digits @ b^k: no int64 copy of digits
+        step *= b
+        step += digits[:, k]
+    del digits
+    pow_enc = np.ones(M, dtype=np.int64)  # g^0 = 1; the rest is overwritten
+    L = 1
+    while L < min(M, _DOUBLING_ROWS):
+        pow_enc[L : 2 * L] = step[pow_enc[: min(L, M - L)]]
+        step, L = step[step], 2 * L
+    for i in range(L, M, L):  # step is now n -> g^L n
+        pow_enc[i : i + L] = step[pow_enc[i - L : min(i, M - L)]]
+    del step
+    exp_of = np.full(M + 1, -1, dtype=np.int64)  # -1: zero has no log
+    exp_of[pow_enc] = np.arange(M)
+    return generator, pow_enc, exp_of
+
+
 class OmegaMatrix:
     """Rader-permuted circulant form of the candidate-score matrix.
 
@@ -68,11 +107,7 @@ class OmegaMatrix:
     scoring.  class_enc[i] is the smallest encoding of the scalar class of
     g^i, its monic member; class_of[n] is the class slot of point n (0 for
     n = 0, 1 + exp(n) mod T otherwise).  Immutable after construction;
-    multiplies are pure.
-
-    pow_enc is built from step[n] = encoding of g n mod P, filled for every
-    residue by b-adic doubling over mul_mod_matrix(g), by pointer doubling:
-    pow_enc[L : 2L] = step[pow_enc[: L]], then step <- step o step.
+    multiplies are pure.  pow_enc and exp_of come from exponent_tables.
     """
 
     def __init__(self, modulus: Modulus, alpha: int):
@@ -87,20 +122,7 @@ class OmegaMatrix:
         M = self.n_points - 1
         self.size = M
 
-        self.generator = primitive_element(modulus)
-        digits = np.zeros((self.n_points, m), dtype=np.min_scalar_type(2 * b - 1))
-        fill_by_doubling(digits, mul_mod_matrix(self.generator, modulus), b)
-        step = np.zeros(self.n_points, dtype=np.int64)
-        for k in reversed(range(m)):  # Horner, not digits @ b^k: no int64 copy of digits
-            step *= b
-            step += digits[:, k]
-        self.pow_enc = np.ones(M, dtype=np.int64)  # g^0 = 1; the rest is overwritten
-        L = 1
-        while L < M:
-            self.pow_enc[L : 2 * L] = step[self.pow_enc[: min(L, M - L)]]
-            step, L = step[step], 2 * L
-        self.exp_of = np.full(M + 1, -1, dtype=np.int64)  # -1: zero has no log
-        self.exp_of[self.pow_enc] = np.arange(M)
+        self.generator, self.pow_enc, self.exp_of = exponent_tables(modulus)
 
         # circulant column c[r] = omega(g^r): the leading Laurent digit of
         # g^r / P sits at position m - deg(g^r)

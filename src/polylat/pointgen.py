@@ -6,20 +6,27 @@ digits of n(x)q_j(x)/P(x).  Interlacing order alpha merges each block of
 alpha classical coordinates into one coordinate with alpha*m digits,
 yielding a higher-order net of b^m points in s = d/alpha dimensions.
 
-Points are kept as exact base-b digit vectors until quadrature time: the
-error kernel needs exact leading-digit positions, and interlacing is a
-digit operation.  The point set is a digital net: the digits of classical
+Values are exact integer numerators over b^K, one per K-digit segment
+(b^K <= 2^53), rounded as digits_to_values rounds the same digits.  With
+the kernel's exponent tables, the residue n q_j mod P of a point n > 0 is
+g^(exp n + exp q_j), so coordinate j over all points is a cyclic shift of
+one table over the residues.  Member t < alpha of an interlacing block has
+one: the numerators its digits make at their positions t + a alpha.  A
+coordinate's numerator is a sum of alpha table reads (_numerator_tables),
+in exponent order for lattice_points, in point order for value_chunks.
+
+The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
 C_j is the Hankel matrix of the Laurent digits of q_j/P.  The interlaced net
 has its own generating matrices G_k, of shape (alpha*m, m), whose rows are
-the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so points come
-straight from G without a classical digit cube or an interlacing pass.  They
-are made in blocks of R = b^r points bounded by CHUNK_BYTES: a head block of
-points 0 .. R - 1 is filled once by b-adic doubling (gfpoly.fill_by_doubling:
-points t b^k .. (t+1) b^k - 1 are points 0 .. b^k - 1 plus t times column k
-of G), and the block starting at point t R is the head block plus G times the
-digits of t R.
-Memory is bounded by the block, not by N.
+the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so digit
+blocks (digit_chunks, the digit file format) come straight from G without a
+classical digit cube or an interlacing pass.  They are made in blocks of
+R = b^r points bounded by CHUNK_BYTES: a head block of points 0 .. R - 1 is
+filled once by b-adic doubling (gfpoly.fill_by_doubling: points
+t b^k .. (t+1) b^k - 1 are points 0 .. b^k - 1 plus t times column k of G),
+and the block starting at point t R is the head block plus G times the
+digits of t R.  Memory is bounded by the block, not by N.
 """
 
 import json
@@ -37,6 +44,7 @@ from .gfpoly import (
     poly_from_string,
     poly_to_string,
 )
+from .kernel import exponent_tables
 
 
 @dataclass(frozen=True)
@@ -195,6 +203,14 @@ def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     return out
 
 
+def _block_exponent(gv: GeneratingVector) -> int:
+    """The largest r <= m with b^r points' interlaced digits in CHUNK_BYTES (or 0)."""
+    r = 0
+    while r < gv.m and gv.b ** (r + 1) * gv.s * gv.alpha * gv.m <= CHUNK_BYTES:
+        r += 1
+    return r
+
+
 def digit_chunks(gv: GeneratingVector):
     """Interlaced digits of points 0 .. N - 1, in order, in blocks of R = b^r points.
 
@@ -207,9 +223,7 @@ def digit_chunks(gv: GeneratingVector):
     """
     b, m = gv.b, gv.m
     G = interlaced_generator_matrices(gv)
-    r = 0
-    while r < m and b ** (r + 1) * G.shape[0] * G.shape[1] <= CHUNK_BYTES:
-        r += 1
+    r = _block_exponent(gv)
     head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
     fill_by_doubling(head, G[..., :r], b)
     high = G[..., r:]
@@ -238,41 +252,122 @@ def interlace_digit_array(classical: np.ndarray, alpha: int) -> np.ndarray:
     return out
 
 
-def digits_to_values(digits: np.ndarray, b: int) -> np.ndarray:
-    """Digit arrays (..., L) to floats in [0,1).
+def _place_values(b: int, L: int):
+    """(Ks, place): the K-digit segments of an L-digit expansion, each K the
+    most with b^K <= 2^53 (at least 1), and place (L, len(Ks)) holding
+    b^(K-1-i) at [digit, its segment], i its offset there.  digits @ place
+    is every segment's integer numerator, exact in any summation order:
+    each partial sum is an integer below b^K."""
+    Ks = []
+    while sum(Ks) < L:
+        K = 1
+        while sum(Ks) + K < L and b ** (K + 1) <= 2**53:
+            K += 1
+        Ks.append(K)
+    place = np.zeros((L, len(Ks)))
+    for k, (start, K) in enumerate(zip(np.cumsum([0] + Ks), Ks)):
+        place[start : start + K, k] = b ** np.arange(K - 1, -1, -1, dtype=np.int64)
+    return Ks, place
 
-    The leading K digits, the most with b^K <= 2^53, give an exact integer
-    numerator n = sum t_k b^(K-k), divided once by b^K, so the value is
-    correctly rounded whenever L = K.  Longer expansions add the value of
-    the remaining digits, scaled by b^-K, which keeps the error within
-    about one ulp.
+
+def _values(num: np.ndarray, Ks, b: int) -> np.ndarray:
+    """Values from the segment numerators num[k], overwriting num.
+
+    Each numerator is divided once by its b^K, and from the last segment
+    back, the value so far is divided by b^K and added: correctly rounded
+    for one segment, within about one ulp for more.
     """
-    L = digits.shape[-1]
-    K = 1
-    while K < L and b ** (K + 1) <= 2**53:
-        K += 1
-    # every partial sum of t_k b^(K-k) is an integer below b^K <= 2^53, so the
-    # float64 products and sums are exact in any order
-    place = (b ** np.arange(K - 1, -1, -1, dtype=np.int64)).astype(np.float64)
-    rows = digits.reshape(-1, L)
-    num = np.empty(len(rows))
-    for i in range(0, len(rows), _ROWS_PER_BLOCK):
-        num[i : i + _ROWS_PER_BLOCK] = rows[i : i + _ROWS_PER_BLOCK, :K] @ place
-    values = num.reshape(digits.shape[:-1]) / float(b**K)
-    if K < L:
-        values += digits_to_values(digits[..., K:], b) / float(b**K)
+    values = num[-1]
+    values /= float(b ** Ks[-1])
+    for k in range(len(Ks) - 2, -1, -1):
+        values /= float(b ** Ks[k])
+        num[k] /= float(b ** Ks[k])
+        num[k] += values
+        values = num[k]
     return values
 
 
+def digits_to_values(digits: np.ndarray, b: int) -> np.ndarray:
+    """Digit arrays (..., L) to floats in [0,1).
+
+    One exact integer numerator per segment (_place_values), then _values:
+    correctly rounded when b^L <= 2^53, within about one ulp otherwise.
+    """
+    L = digits.shape[-1]
+    Ks, place = _place_values(b, L)
+    rows = digits.reshape(-1, L)
+    num = np.empty((len(Ks), len(rows)))
+    for i in range(0, len(rows), _ROWS_PER_BLOCK):
+        num[:, i : i + _ROWS_PER_BLOCK] = (rows[i : i + _ROWS_PER_BLOCK] @ place).T
+    return _values(num.reshape(len(Ks), *digits.shape[:-1]), Ks, b)
+
+
+def _numerator_tables(gv: GeneratingVector):
+    """(pow_enc, exp_of, e, Ks, tables): e[k, t] is the exponent of
+    q_(k alpha + t), and tables[t, i, x] the segment-i numerator of member
+    t's digits at positions t + a alpha when its residue is g^x.  So point
+    n > 0 has numerators sum_t tables[t, :, (exp n + e[k, t]) mod (b^m - 1)]
+    in coordinate k.  The digits of r/P, for every residue r, are filled by
+    b-adic doubling over the generating matrix of q = 1 and then freed.
+    """
+    b, m, alpha = gv.b, gv.m, gv.alpha
+    _, pow_enc, exp_of = exponent_tables(gv.modulus)
+    M = len(pow_enc)
+    one = GeneratingVector(gv.modulus, 1, (GfPoly.one(b),))
+    digits = np.zeros((M + 1, m), dtype=np.uint8)
+    fill_by_doubling(digits, _generator_matrices(one)[0], b)
+    Ks, place = _place_values(b, alpha * m)
+    place = place.reshape(m, alpha * len(Ks))  # row a, column t: position t + a alpha
+    tables = np.empty((alpha * len(Ks), M))
+    residues = digits.view(np.dtype((np.void, m))).ravel()  # one item a digit row
+    rows = max(1, CHUNK_BYTES // (8 * m))  # digits cast to float64 at a time
+    for i in range(0, M, rows):
+        block = np.take(residues, pow_enc[i : i + rows]).view(digits.dtype).reshape(-1, m)
+        np.matmul(place.T, block.T, out=tables[:, i : i + rows])
+    del digits, residues
+    e = exp_of[[qj.to_int() for qj in gv.q]].reshape(gv.s, alpha)
+    return pow_enc, exp_of, e, Ks, tables.reshape(alpha, len(Ks), M)
+
+
 def lattice_points(gv: GeneratingVector) -> np.ndarray:
-    """Interlaced lattice points as an (N, s) float array, the quadrature view."""
+    """Interlaced lattice points as an (N, s) float array, the quadrature view.
+
+    Filled in exponent order: for the points g^i, i0 <= i < i1, coordinate k
+    reads slices tables[t, :, e[k, t] + i0 : e[k, t] + i1] of the doubled
+    tables, and the block goes in place with one scatter.
+    """
+    pow_enc, _, e, Ks, tables = _numerator_tables(gv)
+    tables = np.concatenate([tables, tables], axis=-1)
     out = np.empty((gv.n_points, gv.s))
-    start = 0
-    for chunk in digit_chunks(gv):
-        out[start : start + len(chunk)] = digits_to_values(chunk, gv.b)
-        start += len(chunk)
-        del chunk  # not alive while the generator makes the next one
+    out[0] = 0.0
+    R = gv.b ** _block_exponent(gv)
+    for i0 in range(0, len(pow_enc), R):
+        n = min(R, len(pow_enc) - i0)
+        num = np.empty((len(Ks), gv.s, n))
+        for k, lo in enumerate(e + i0):
+            num[:, k] = tables[0, :, lo[0] : lo[0] + n]
+            for t in range(1, gv.alpha):
+                num[:, k] += tables[t, :, lo[t] : lo[t] + n]
+        out[pow_enc[i0 : i0 + n]] = _values(num, Ks, gv.b).T
     return out
+
+
+def value_chunks(gv: GeneratingVector):
+    """lattice_points' values of points 0 .. N - 1, in order, as fresh
+    (R, s) blocks, R as in digit_chunks, read at exponents exp_of[n] + e."""
+    _, exp_of, e, Ks, tables = _numerator_tables(gv)
+    R = gv.b ** _block_exponent(gv)
+    for start in range(0, gv.n_points, R):
+        at = exp_of[start : start + R, None] + e.T[:, None, :]  # (alpha, R, s)
+        num = np.empty((len(Ks), *at.shape[1:]))
+        for i in range(len(Ks)):
+            np.take(tables[0, i], at[0], out=num[i], mode="wrap")
+            for t in range(1, gv.alpha):
+                num[i] += tables[t, i].take(at[t], mode="wrap")
+        values = _values(num, Ks, gv.b)
+        if start == 0:
+            values[0] = 0.0  # exp_of[0] is -1: the origin has no exponent
+        yield values
 
 
 # -- exact-digit oracle ----------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,33 @@ class TestBounds:
         assert code == 1
         assert "field 'lambda_grid'" in err and "0.3" in err
         assert out == ""
+
+    @pytest.mark.parametrize("b", [2**61 - 1, 1 << 16, 4])
+    def test_base_that_is_not_a_small_prime_is_usage_error(self, capsys, b):
+        args = list(self.ARGS)
+        args[args.index("--b") + 1] = str(b)
+        start = time.perf_counter()
+        code, out, err = run(args, capsys)
+        assert time.perf_counter() - start < 1.0  # no trial division of a large b
+        assert code == 1
+        assert "invalid config: field 'b': base must be a small prime" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", [[True, 0.8], [0.8, False], ["0.8"], 0.8, {"0.8": 1}])
+    def test_lambda_grid_in_a_config_file_needs_numbers(self, tmp_path, capsys, grid):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"lambda_grid": grid}))
+        code, out, err = run(self.ARGS + ["--config", str(cfgfile)], capsys)
+        assert code == 1
+        assert "invalid config: field 'lambda_grid'" in err
+        assert out == ""
+
+    def test_lambda_grid_in_a_config_file_as_numbers(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"lambda_grid": [0.6, 1]}))
+        code, out, _ = run(self.ARGS + ["--config", str(cfgfile), "--format", "json"], capsys)
+        assert code == 0
+        assert [row["lambda"] for row in json.loads(out)["cbc_bound"]] == [0.6, 1.0]
 
     def test_p_one_divergence_warns_but_succeeds(self, capsys):
         args = ["bounds", "--b", "2", "--m", "5", "--alpha", "2", "--s", "3",

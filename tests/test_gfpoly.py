@@ -1,6 +1,7 @@
 """Field-arithmetic oracles: hand values, long division, exhaustive checks."""
 
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from polylat.gfpoly import (
     DigitVector,
     GfPoly,
     Modulus,
+    check_prime_base,
     find_irreducible,
     is_irreducible,
     laurent_digits,
@@ -35,6 +37,16 @@ class TestPolyBasics:
             GfPoly(4, (1,))
         with pytest.raises(ValueError):
             GfPoly(1, (1,))
+
+    @pytest.mark.parametrize("b", [2**61 - 1, 2**89 - 1, 65537])
+    def test_large_base_refused_before_trial_division(self, b):
+        # 2^61 - 1 and 2^89 - 1 are primes that trial division would take
+        # minutes to years to confirm; 65537 is the first prime past 2^16
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="small prime"):
+            check_prime_base(b)
+        assert time.perf_counter() - start < 0.1
+        assert check_prime_base(65521) == 65521  # the largest prime below 2^16
 
     def test_coefficients_must_be_reduced(self):
         with pytest.raises(ValueError):

@@ -411,6 +411,50 @@ class TestChunkedDifferential:
             assert (np.abs(got - want) <= np.spacing(want)).all()
 
 
+def _recursive_values(digits, b):
+    """The digit-to-value recursion as one function: the leading K digits,
+    the most with b^K <= 2^53, as one exact numerator over b^K, plus the
+    value of the rest over b^K."""
+    L = digits.shape[-1]
+    K = 1
+    while K < L and b ** (K + 1) <= 2**53:
+        K += 1
+    place = (b ** np.arange(K - 1, -1, -1, dtype=np.int64)).astype(np.float64)
+    values = (digits[..., :K] @ place) / float(b**K)
+    if K < L:
+        values += _recursive_values(digits[..., K:], b) / float(b**K)
+    return values
+
+
+# edge cases besides RANDOM_SPECS: alpha = 1, m = 1, both at once
+EDGE_SPECS = [(2, 1, 1, 2), (3, 1, 2, 2), (7, 1, 4, 1), (5, 4, 1, 3), (2, 9, 1, 1)]
+
+
+class TestTableValues:
+    """Values from the exponent tables against the digit path, bit for bit."""
+
+    @pytest.mark.parametrize("b,m,alpha,s", RANDOM_SPECS + EDGE_SPECS)
+    def test_values_and_csv_match_the_digit_path(self, b, m, alpha, s, tmp_path, capsys,
+                                                 monkeypatch):
+        rng = np.random.default_rng([b, m, alpha, s, 19])
+        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
+        digits = interlace_digit_array(classical_digit_array(gv), alpha)
+        want = digits_to_values(digits, b)
+        # blocks of b^(m-2) points (one point at m <= 2), several table blocks
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", b ** max(m - 2, 0) * s * alpha * m)
+        assert np.array_equal(want.view(np.int64), _recursive_values(digits, b).view(np.int64))
+        got = lattice_points(gv)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert not got[0].view(np.int64).any()  # the origin, as +0.0
+
+        write_points_csv(tmp_path / "want.csv", [want])
+        gv.save(tmp_path / "gv.json")
+        argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(tmp_path / "got.csv")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # allocations besides the chunks: matrices, the parser, Python row strings
 SLACK = 1 << 18
 
