@@ -33,8 +33,16 @@ residue a of degree k < m, a(x)/P(x) = x^(k-m) (lead a / lead P) + lower
 powers, so its first nonzero Laurent digit sits at position m - k: the
 column is read off the exact degree of each residue, never from a digit
 expansion or a floating-point log.
+
+The exponent tables (exponent_tables: the generator, pow_enc and exp_of)
+belong to the modulus alone, and they are memoized for the last modulus
+only, keyed by value: OmegaMatrix (the CBC search), pointgen's
+lattice_points and value_chunks (the point values and the CSV export) share
+one build when they run on the same modulus, and memory holds at most one
+table set.  The memoized arrays are read-only.
 """
 
+import functools
 import operator
 
 import numpy as np
@@ -61,6 +69,7 @@ def omega_at_position(position, alpha: int, b: int) -> float:
 _DOUBLING_ROWS = 1 << 8
 
 
+@functools.lru_cache(maxsize=1)
 def exponent_tables(modulus: Modulus):
     """(g, pow_enc, exp_of) for the smallest generator g of Z_b[x]/(P)^*.
 
@@ -71,6 +80,10 @@ def exponent_tables(modulus: Modulus):
     pow_enc[L : 2L] = step[pow_enc[: L]], then step <- step o step, until
     L = _DOUBLING_ROWS; then block by block, pow_enc[i : i + L] =
     step[pow_enc[i - L : i]].
+
+    Memoized for the last modulus only: an equal Modulus (say, one reloaded
+    from a vector file) gets the same read-only arrays back, a different one
+    replaces them.  OmegaMatrix and pointgen's value paths share them.
     """
     b, m = modulus.b, modulus.m
     M = b**m - 1
@@ -92,6 +105,7 @@ def exponent_tables(modulus: Modulus):
     del step
     exp_of = np.full(M + 1, -1, dtype=np.int64)  # -1: zero has no log
     exp_of[pow_enc] = np.arange(M)
+    pow_enc.flags.writeable = exp_of.flags.writeable = False
     return generator, pow_enc, exp_of
 
 
@@ -107,7 +121,8 @@ class OmegaMatrix:
     scoring.  class_enc[i] is the smallest encoding of the scalar class of
     g^i, its monic member; class_of[n] is the class slot of point n (0 for
     n = 0, 1 + exp(n) mod T otherwise).  Immutable after construction;
-    multiplies are pure.  pow_enc and exp_of come from exponent_tables.
+    multiplies are pure.  pow_enc and exp_of are exponent_tables' read-only
+    memo, shared with pointgen.
     """
 
     def __init__(self, modulus: Modulus, alpha: int):

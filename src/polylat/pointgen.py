@@ -14,6 +14,10 @@ one table over the residues.  Member t < alpha of an interlacing block has
 one: the numerators its digits make at their positions t + a alpha.  A
 coordinate's numerator is a sum of alpha table reads (_numerator_tables),
 in exponent order for lattice_points, in point order for value_chunks.
+The exponent tables are the kernel's memo, so after a construction on the
+same modulus neither path rebuilds them.  lattice_points works in value
+blocks: as many exponents as keep their float64 numerators within half of
+CHUNK_BYTES.
 
 The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
@@ -22,11 +26,12 @@ has its own generating matrices G_k, of shape (alpha*m, m), whose rows are
 the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so digit
 blocks (digit_chunks, the digit file format) come straight from G without a
 classical digit cube or an interlacing pass.  They are made in blocks of
-R = b^r points bounded by CHUNK_BYTES: a head block of points 0 .. R - 1 is
-filled once by b-adic doubling (gfpoly.fill_by_doubling: points
-t b^k .. (t+1) b^k - 1 are points 0 .. b^k - 1 plus t times column k of G),
-and the block starting at point t R is the head block plus G times the
-digits of t R.  Memory is bounded by the block, not by N.
+R = b^r points whose digits fit in CHUNK_BYTES (digit blocks, which
+value_chunks uses too): a head block of points 0 .. R - 1 is filled once by
+b-adic doubling (gfpoly.fill_by_doubling: points t b^k .. (t+1) b^k - 1 are
+points 0 .. b^k - 1 plus t times column k of G), and the block starting at
+point t R is the head block plus G times the digits of t R.  Memory is
+bounded by the block, not by N.
 """
 
 import json
@@ -203,10 +208,10 @@ def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     return out
 
 
-def _block_exponent(gv: GeneratingVector) -> int:
-    """The largest r <= m with b^r points' interlaced digits in CHUNK_BYTES (or 0)."""
+def _block_exponent(gv: GeneratingVector, point_bytes: int, budget: int) -> int:
+    """The largest r <= m with b^r points of point_bytes each in budget bytes (or 0)."""
     r = 0
-    while r < gv.m and gv.b ** (r + 1) * gv.s * gv.alpha * gv.m <= CHUNK_BYTES:
+    while r < gv.m and gv.b ** (r + 1) * point_bytes <= budget:
         r += 1
     return r
 
@@ -223,7 +228,7 @@ def digit_chunks(gv: GeneratingVector):
     """
     b, m = gv.b, gv.m
     G = interlaced_generator_matrices(gv)
-    r = _block_exponent(gv)
+    r = _block_exponent(gv, gv.s * gv.alpha * m, CHUNK_BYTES)
     head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
     fill_by_doubling(head, G[..., :r], b)
     high = G[..., r:]
@@ -334,16 +339,20 @@ def lattice_points(gv: GeneratingVector) -> np.ndarray:
 
     Filled in exponent order: for the points g^i, i0 <= i < i1, coordinate k
     reads slices tables[t, :, e[k, t] + i0 : e[k, t] + i1] of the doubled
-    tables, and the block goes in place with one scatter.
+    tables, and the block goes in place with one scatter.  A block holds
+    R = b^r exponents, R the largest power of b whose float64 numerators
+    fit in half of CHUNK_BYTES (measured faster than a whole chunk), and
+    every block reuses one buffer.
     """
     pow_enc, _, e, Ks, tables = _numerator_tables(gv)
     tables = np.concatenate([tables, tables], axis=-1)
     out = np.empty((gv.n_points, gv.s))
     out[0] = 0.0
-    R = gv.b ** _block_exponent(gv)
+    R = gv.b ** _block_exponent(gv, 8 * gv.s * len(Ks), CHUNK_BYTES // 2)
+    buffer = np.empty((len(Ks), gv.s, min(R, len(pow_enc))))
     for i0 in range(0, len(pow_enc), R):
         n = min(R, len(pow_enc) - i0)
-        num = np.empty((len(Ks), gv.s, n))
+        num = buffer[..., :n]
         for k, lo in enumerate(e + i0):
             num[:, k] = tables[0, :, lo[0] : lo[0] + n]
             for t in range(1, gv.alpha):
@@ -356,7 +365,7 @@ def value_chunks(gv: GeneratingVector):
     """lattice_points' values of points 0 .. N - 1, in order, as fresh
     (R, s) blocks, R as in digit_chunks, read at exponents exp_of[n] + e."""
     _, exp_of, e, Ks, tables = _numerator_tables(gv)
-    R = gv.b ** _block_exponent(gv)
+    R = gv.b ** _block_exponent(gv, gv.s * gv.alpha * gv.m, CHUNK_BYTES)
     for start in range(0, gv.n_points, R):
         at = exp_of[start : start + R, None] + e.T[:, None, :]  # (alpha, R, s)
         num = np.empty((len(Ks), *at.shape[1:]))

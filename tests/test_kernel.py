@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from polylat import kernel
+from polylat.cbc import fast_cbc
 from polylat.gfpoly import (
     DigitVector,
     GfPoly,
@@ -12,9 +14,12 @@ from polylat.gfpoly import (
     find_irreducible,
     is_irreducible,
     laurent_digits,
+    primitive_element,
 )
-from polylat.kernel import OmegaMatrix, omega_at_position
+from polylat.kernel import OmegaMatrix, exponent_tables, omega_at_position
 from polylat.oracle import leading_position, mu_alpha, multiply_naive, omega, pure_omega_column
+from polylat.pointgen import GeneratingVector, lattice_points
+from polylat.weights import DecaySequence, WeightSpec
 
 
 def random_modulus(b, m, seed):
@@ -343,3 +348,53 @@ class TestOmegaMatrix:
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:32]
                     for a in (om.pow_enc, om.exp_of, om._c2))
         assert got == KERNEL_TABLE_DIGESTS[b, m]
+
+
+class TestExponentTableMemo:
+    """exponent_tables keeps the last modulus's tables, keyed by value."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Count kernel.primitive_element calls, from an empty memo."""
+        calls = []
+
+        def counting(modulus):
+            calls.append(modulus)
+            return primitive_element(modulus)
+
+        monkeypatch.setattr(kernel, "primitive_element", counting)
+        exponent_tables.cache_clear()
+        yield calls
+        exponent_tables.cache_clear()
+
+    def test_construct_then_points_searches_once(self, searches):
+        spec = WeightSpec(alpha=2, b=2, J=1, beta=DecaySequence.power(0.4, 2.0, p=0.6))
+        modulus = random_modulus(2, 7, 0)
+        res = fast_cbc(spec, 7, 3, modulus=modulus)
+        lattice_points(res.gen_vector)
+        assert searches == [modulus]
+
+    def test_equal_modulus_reuses_the_tables(self, searches, tmp_path):
+        modulus = random_modulus(3, 4, 1)
+        first = exponent_tables(modulus)
+        gv = GeneratingVector(modulus, 1, (GfPoly.one(3),))
+        gv.save(tmp_path / "gv.json")
+        reloaded = GeneratingVector.load(tmp_path / "gv.json").modulus
+        assert reloaded == modulus and reloaded is not modulus
+        assert exponent_tables(reloaded) is first
+        assert len(searches) == 1
+
+    def test_other_modulus_rebuilds_the_tables(self, searches):
+        smallest, drawn = find_irreducible(2, 6), random_modulus(2, 6, 0)
+        first = exponent_tables(smallest)
+        other = exponent_tables(drawn)
+        assert searches == [smallest, drawn]
+        assert not np.array_equal(other[1], first[1])
+        assert exponent_tables(smallest) is not first  # only the last modulus is kept
+        assert searches == [smallest, drawn, smallest]
+
+    def test_tables_are_read_only(self):
+        _, pow_enc, exp_of = exponent_tables(find_irreducible(2, 5))
+        for table in (pow_enc, exp_of):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0

@@ -440,7 +440,7 @@ class TestTableValues:
         gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
         digits = interlace_digit_array(classical_digit_array(gv), alpha)
         want = digits_to_values(digits, b)
-        # blocks of b^(m-2) points (one point at m <= 2), several table blocks
+        # value_chunks in blocks of b^(m-2) points (one point at m <= 2)
         monkeypatch.setattr(pointgen, "CHUNK_BYTES", b ** max(m - 2, 0) * s * alpha * m)
         assert np.array_equal(want.view(np.int64), _recursive_values(digits, b).view(np.int64))
         got = lattice_points(gv)
@@ -453,6 +453,24 @@ class TestTableValues:
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    # (b, m, alpha, s): one numerator segment each, and two at b^(alpha m) = 2^64
+    BLOCK_SPECS = [(2, 7, 2, 3), (3, 4, 3, 2), (5, 3, 2, 4), (2, 8, 8, 1)]
+
+    @pytest.mark.parametrize("blocks", ["one point", "partial last", "one block"])
+    @pytest.mark.parametrize("b,m,alpha,s", BLOCK_SPECS)
+    def test_value_blocks_match_the_digit_chunks(self, b, m, alpha, s, blocks, monkeypatch):
+        rng = np.random.default_rng([b, m, alpha, s, 20])
+        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
+        want = digits_to_values(np.concatenate(list(digit_chunks(gv))), b)
+        segments = len(pointgen._place_values(b, alpha * m)[0])
+        assert segments == (2 if b ** (alpha * m) > 2**53 else 1)
+        # R = b^r exponents a block: of the b^m - 1, the last block holds R - 1
+        r = {"one point": 0, "partial last": m - 2, "one block": m}[blocks]
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", 2 * b**r * s * segments * 8)
+        assert pointgen._block_exponent(gv, 8 * s * segments, pointgen.CHUNK_BYTES // 2) == r
+        got = lattice_points(gv)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # allocations besides the chunks: matrices, the parser, Python row strings
@@ -472,6 +490,19 @@ class TestChunkedMemory:
         finally:
             tracemalloc.stop()
         # the head block, the chunk and its wrap temporary
+        assert peak <= pts.nbytes + 3 * chunk + SLACK
+
+    def test_lattice_points_peak_at_spod_heavy_size(self):
+        # s = 200, m = 12: the value blocks are widest here, the bound the same
+        rng = random.Random(5)
+        gv = make_gv(2, 12, [rng.randrange(1, 2**12) for _ in range(400)], alpha=2)
+        chunk = pointgen.CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            pts = lattice_points(gv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= pts.nbytes + 3 * chunk + SLACK
 
     @pytest.mark.parametrize("fmt", ["csv", "digits"])
