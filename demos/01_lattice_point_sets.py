@@ -13,7 +13,6 @@ from polylat import (
     GeneratingVector,
     GfPoly,
     classical_digit_array,
-    digit_chunks,
     find_irreducible,
     interlace_digit_array,
     digits_to_values,
@@ -21,7 +20,7 @@ from polylat import (
     lattice_points,
     poly_to_string,
 )
-from polylat.oracle import truncate_digits
+from polylat.oracle import digit_chunks, truncate_digits
 
 b, m = 2, 4
 mod = find_irreducible(b, m)

@@ -14,7 +14,6 @@ from .gfpoly import GfPoly, find_irreducible, laurent_digits, poly_to_string
 from .pointgen import (
     GeneratingVector,
     classical_digit_array,
-    digit_chunks,
     digits_to_values,
     interlace_digit_array,
     lattice_points,

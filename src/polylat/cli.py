@@ -27,7 +27,6 @@ from .gfpoly import check_prime_base
 from .pointgen import (
     GeneratingVector,
     classical_digit_array,
-    digit_chunks,
     digits_to_values,
     interlace_digit_array,
     value_chunks,
@@ -358,7 +357,7 @@ def cmd_points(cfg: RunConfig) -> int:
         raise UsageError(f"field 'gv': cannot load generating vector: {exc}") from exc
     out = cfg.out or "points.csv"
     if (cfg.format or "csv") == "digits":
-        write_points_digits(out, digit_chunks(gv), gv.b)
+        write_points_digits(out, gv)
     else:
         write_points_csv(out, value_chunks(gv))
     print(f"wrote {gv.n_points} points in {gv.s} dimensions -> {out}")

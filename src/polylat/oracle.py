@@ -3,8 +3,9 @@
 Each function computes from its definition what a production module
 computes faster: Z_b[x] arithmetic coefficient by coefficient, omega
 columns by long division, the score product by dot products, the search
-criterion as the literal 2^d subset sum, and the digit file parsed
-character by character.  Costs are quadratic or exponential and guarded.
+criterion as the literal 2^d subset sum, interlaced digits block by
+block from the generating matrices, and the digit file parsed character
+by character.  Costs are quadratic or exponential and guarded.
 run_selftest is the oracle suite of `polylat selftest`, which loads this
 module inside the command; no production module imports it.
 """
@@ -20,11 +21,13 @@ from .gfpoly import (
     GfPoly,
     Modulus,
     _check_same_base,
+    fill_by_doubling,
     find_irreducible,
     laurent_digits,
 )
 from .kernel import OmegaMatrix, omega_at_position
-from .pointgen import GeneratingVector
+from . import pointgen
+from .pointgen import GeneratingVector, interlaced_generator_matrices
 from .weights import (
     DecaySequence,
     WeightSpec,
@@ -288,6 +291,31 @@ def slow_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         cost=CostLog(n_points=N),
         spec=spec,
     )
+
+
+def digit_chunks(gv: GeneratingVector):
+    """Interlaced digits of points 0 .. N - 1, in order, in blocks of R = b^r points.
+
+    Yields fresh (R, s, alpha*m) uint8 arrays; R is the largest power of b
+    whose block fits in pointgen.CHUNK_BYTES (at least 1, at most N).  The
+    head block H of points 0 .. R - 1 is filled once by doubling over the
+    low r columns of G; the block starting at point t R is H plus G times
+    the digits of t R, which by linearity over Z_b is exact, and which
+    carries nowhere because the low r digits of t R are zero.  The digit
+    blocks pointgen.write_points_digits turns into file rows, without the
+    separators.
+    """
+    b, m = gv.b, gv.m
+    G = interlaced_generator_matrices(gv)
+    r = pointgen._block_exponent(gv, gv.s * gv.alpha * m, pointgen.CHUNK_BYTES)
+    head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
+    fill_by_doubling(head, G[..., :r], b)
+    high = G[..., r:]
+    for t in range(b ** (m - r)):
+        digits = np.array([t // b**k % b for k in range(m - r)], dtype=np.int64)
+        chunk = head + (high @ digits % b).astype(np.uint8)
+        np.minimum(chunk, chunk - np.uint8(b), out=chunk)
+        yield chunk
 
 
 def read_points_digits(path, b: int) -> np.ndarray:

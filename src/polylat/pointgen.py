@@ -23,15 +23,15 @@ The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
 C_j is the Hankel matrix of the Laurent digits of q_j/P.  The interlaced net
 has its own generating matrices G_k, of shape (alpha*m, m), whose rows are
-the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so digit
-blocks (digit_chunks, the digit file format) come straight from G without a
-classical digit cube or an interlacing pass.  They are made in blocks of
-R = b^r points whose digits fit in CHUNK_BYTES (digit blocks, which
-value_chunks uses too): a head block of points 0 .. R - 1 is filled once by
-b-adic doubling (gfpoly.fill_by_doubling: points t b^k .. (t+1) b^k - 1 are
-points 0 .. b^k - 1 plus t times column k of G), and the block starting at
-point t R is the head block plus G times the digits of t R.  Memory is
-bounded by the block, not by N.
+the rows of C_{k*alpha}, ..., C_{k*alpha+alpha-1} interleaved, so the digit
+file (write_points_digits) comes straight from G without a classical digit
+cube or an interlacing pass.  Its rows are made in file layout, in blocks
+of R = b^r points whose bytes fit in CHUNK_BYTES: a head block of points
+0 .. R - 1 is filled once by b-adic doubling (gfpoly.fill_by_doubling:
+points t b^k .. (t+1) b^k - 1 are points 0 .. b^k - 1 plus t times column
+k of G), and the block starting at point t R is the head block plus G
+times the digits of t R; one table of '0', ',' and '\\n' turns a block into
+text.  Memory is bounded by the block, not by N.
 """
 
 import json
@@ -162,7 +162,8 @@ class DigitPoint:
 # measured faster than 1 << 14, and it keeps the temporary below a chunk)
 _ROWS_PER_BLOCK = 1 << 12
 
-# digit bytes per block of points; measured faster than 1 MiB and 8 MiB
+# digit (or digit-file) bytes per block of points; measured faster than
+# 1 MiB and 8 MiB
 CHUNK_BYTES = 1 << 22
 
 
@@ -214,29 +215,6 @@ def _block_exponent(gv: GeneratingVector, point_bytes: int, budget: int) -> int:
     while r < gv.m and gv.b ** (r + 1) * point_bytes <= budget:
         r += 1
     return r
-
-
-def digit_chunks(gv: GeneratingVector):
-    """Interlaced digits of points 0 .. N - 1, in order, in blocks of R = b^r points.
-
-    Yields fresh (R, s, alpha*m) uint8 arrays; R is the largest power of b
-    whose block fits in CHUNK_BYTES (at least 1, at most N).  The head block
-    H of points 0 .. R - 1 is filled once by doubling over the low r columns
-    of G; the block starting at point t R is H plus G times the digits of
-    t R, which by linearity over Z_b is exact, and which carries nowhere
-    because the low r digits of t R are zero.
-    """
-    b, m = gv.b, gv.m
-    G = interlaced_generator_matrices(gv)
-    r = _block_exponent(gv, gv.s * gv.alpha * m, CHUNK_BYTES)
-    head = np.zeros((b**r, *G.shape[:2]), dtype=np.uint8)
-    fill_by_doubling(head, G[..., :r], b)
-    high = G[..., r:]
-    for t in range(b ** (m - r)):
-        digits = np.array([t // b**k % b for k in range(m - r)], dtype=np.int64)
-        chunk = head + (high @ digits % b).astype(np.uint8)
-        np.minimum(chunk, chunk - np.uint8(b), out=chunk)
-        yield chunk
 
 
 def interlace_digit_array(classical: np.ndarray, alpha: int) -> np.ndarray:
@@ -363,7 +341,8 @@ def lattice_points(gv: GeneratingVector) -> np.ndarray:
 
 def value_chunks(gv: GeneratingVector):
     """lattice_points' values of points 0 .. N - 1, in order, as fresh
-    (R, s) blocks, R as in digit_chunks, read at exponents exp_of[n] + e."""
+    (R, s) blocks read at exponents exp_of[n] + e; R = b^r is the largest
+    power of b with R s alpha m <= CHUNK_BYTES (at least 1, at most N)."""
     _, exp_of, e, Ks, tables = _numerator_tables(gv)
     R = gv.b ** _block_exponent(gv, gv.s * gv.alpha * gv.m, CHUNK_BYTES)
     for start in range(0, gv.n_points, R):
@@ -419,6 +398,15 @@ def _header(s: int) -> str:
     return ",".join(f"y{j + 1}" for j in range(s)) + "\n"
 
 
+# The gap below a power of two is half as wide as above it.  At L <= 32 these
+# two are the only powers of two whose repr the symmetric gap gets wrong (the
+# others, tried one by one, come out the same), so they are written as repr.
+_NARROW_GAP = {v: repr(v).encode() for v in (2.0**-24, 2.0**-25)}
+
+# "e-00" .. "e-10": the exponents of values k/2^L below 1e-4, L <= 32
+_EXPONENTS = np.frombuffer(b"".join(b"e-%02d" % e for e in range(11)), np.uint8).reshape(11, 4)
+
+
 class _DyadicFormatter:
     """repr of values k/2^L, L <= 32, by exact integer arithmetic on whole arrays.
 
@@ -426,14 +414,14 @@ class _DyadicFormatter:
     D = k 5^W, and every decimal within half a gap of v reads back as v: the
     mantissa of v is even, so ties go to v.  At scale 10^-W the half-gap is
     H = floor(5^W / 2^(53 - floor(log2 k))) < 5.6e15 on both sides (the gap
-    below a power of two is half as wide, but the powers of two above 1e-4
-    are their own shortest decimals).  repr is the shortest decimal in
+    below a power of two is half as wide, which changes the answer only for
+    the two in _NARROW_GAP).  repr is the shortest decimal in
     [D - H, D + H], nearest D, ties to an even last digit (Gay's dtoa,
     mode 0).  With B = D + H, its digits are the first W - r* digits of B,
     r* the largest r with B mod 10^r <= 2H, the last of them lowered to the
-    candidate nearest D, which never borrows.  Values below 1e-4, which repr
-    writes in exponent form, go through repr one by one.  The scratch arrays
-    are sized for the largest block seen and reused.
+    candidate nearest D, which never borrows.  Values below 1e-4 take the
+    same digits in repr's exponent form.  The scratch arrays are sized for
+    the largest block seen and reused.
     """
 
     def __init__(self, s: int):
@@ -497,7 +485,10 @@ class _DyadicFormatter:
         with 0 <= k < 2^L, L <= 32."""
         v = rows.reshape(-1)
         n = v.size
-        if n == 0 or not (v.min() >= 0.0 and v.max() < 1.0):  # NaN fails too
+        if n == 0:
+            return None
+        lo = v.min()
+        if not (lo >= 0.0 and v.max() < 1.0):  # NaN fails too
             return None
         if n > self.n:
             self._allocate(n)
@@ -562,13 +553,15 @@ class _DyadicFormatter:
         lower = (u > 0) & ((2 * u > g) | ((2 * u == g) & odd))
         chars[at, col] -= (q + lower).astype(np.uint8)
 
-        # digits kept: through column last, less its trailing zeros
-        np.less(v, 1e-4, out=flag)
-        special = np.flatnonzero(flag)
+        # digits kept: through column last, less its trailing zeros; 0.0 keeps
+        # one, and every other value a nonzero digit, so no run passes column 0
         ar = np.arange(n)
         starts = ar * W
+        zeros = np.flatnonzero(v == 0.0) if lo == 0.0 else ar[:0]
+        chars[zeros, 0] = ord("0")
+        last[zeros] = 0
         run = np.flatnonzero(chars.reshape(-1)[starts + last] == ord("0"))
-        run = run[~flag[run]]  # values below 1e-4 may be all zeros; repr writes them
+        run = run[last[run] > 0]
         while run.size:
             last[run] -= 1
             run = run[chars.reshape(-1)[starts[run] + last[run]] == ord("0")]
@@ -580,10 +573,27 @@ class _DyadicFormatter:
         text[:, 1] = ord(".")
         text[:, 2 : W + 2] = chars
         end = last + 3  # the separator's column
-        for i in special:
-            word = repr(float(v[i])).encode()
-            text[i, : len(word)] = np.frombuffer(word, np.uint8)
-            end[i] = len(word)
+
+        # below 1e-4, repr's exponent form: d.ddde-XX (de-XX for one digit),
+        # the digits from the leading one, at column lead >= 4, XX = lead + 1
+        if lo < 1e-4:
+            np.less(v, 1e-4, out=flag)
+            flag[zeros] = False
+            small = np.flatnonzero(flag)
+            lead = np.argmax(chars[small] != ord("0"), axis=1)
+            cols = np.minimum(lead[:, None] + np.arange(W - 4), W - 1)
+            mantissa = chars.reshape(-1)[cols + (small * W)[:, None]]
+            text[small, 0] = mantissa[:, 0]
+            text[small, 2 : W - 3] = mantissa[:, 1:]
+            after = last[small] - lead  # digits after the leading one
+            at = np.where(after > 0, after + 2, 1)  # the e's column
+            text[small[:, None], at[:, None] + np.arange(4)] = _EXPONENTS[lead + 1]
+            end[small] = at + 4
+            for x, word in _NARROW_GAP.items():  # only where W >= 24
+                rows = small[v[small] == x]
+                if rows.size:
+                    text[rows, : len(word)] = np.frombuffer(word, np.uint8)
+                    end[rows] = len(word)
         text[ar, end] = self.seps[:n]
         keep = self.keep[: n * width].reshape(n, width)
         np.take(np.arange(width) <= np.arange(width)[:, None], end, axis=0, out=keep)
@@ -616,25 +626,43 @@ def write_points_csv(path, blocks):
                 fh.write(text)
 
 
-def write_points_digits(path, blocks, b: int):
+def write_points_digits(path, gv: GeneratingVector):
     """Exactness-preserving format: one base-b digit string per coordinate.
 
-    A coordinate with digits t_1..t_L is written as the string t_1 t_2 ... t_L
-    (most significant fractional digit first).  blocks is an iterable of
-    (n_i, s, L) digit arrays written in order (pass [digits] for one array);
-    the header comes from the first block.
+    A coordinate with interlaced digits t_1..t_L, L = alpha*m, is written as
+    the string t_1 t_2 ... t_L (most significant fractional digit first),
+    header y1..ys, one row per point in point order.  Rows are made in file
+    layout, (R, s, L + 1) bytes a block of R = b^r points, R the largest
+    power of b whose block fits in CHUNK_BYTES (at least 1, at most N): G
+    gets a zero row L, so every digit sum leaves the separator column 0.
+    The head block H of points 0 .. R - 1 is filled once by doubling over
+    the low r columns of G; the block starting at point t R is H plus G
+    times the digits of t R mod b, which carries nowhere because the low r
+    digits of t R are zero.  Adding '0' to the digit columns and ',' or
+    '\\n' to the separators makes the block the file's bytes, written as
+    they are.  The block and its wrap temporary are two buffers kept for the
+    whole file.
     """
+    b, m, s, L = gv.b, gv.m, gv.s, gv.alpha * gv.m
     if b > 7:
         raise ValueError("digit format needs single-character digits (b <= 7)")
+    G = np.zeros((s, L + 1, m), dtype=np.int64)
+    G[:, :L] = interlaced_generator_matrices(gv)
+    r = _block_exponent(gv, s * (L + 1), CHUNK_BYTES)
+    head = np.zeros((b**r, s, L + 1), dtype=np.uint8)
+    fill_by_doubling(head, G[..., :r], b)
+    high = G[..., r:]
+    ascii = np.full((s, L + 1), ord("0"), dtype=np.uint8)
+    ascii[:, L] = ord(",")
+    ascii[-1, L] = ord("\n")
+    block, wrap = np.empty_like(head), np.empty_like(head)
     with open(path, "wb") as fh:
-        for i, digits in enumerate(blocks):
-            n, s, L = digits.shape
-            if i == 0:
-                fh.write(_header(s).encode())
-            text = np.empty((n, s, L + 1), dtype=np.uint8)
-            text[..., :L] = digits
-            text[..., :L] += ord("0")
-            text[..., L] = ord(",")
-            text[:, -1, L] = ord("\n")
-            fh.write(text.data)  # the buffer itself, not a bytes copy
+        fh.write(_header(s).encode())
+        for t in range(b ** (m - r)):
+            digits = np.array([t // b**k % b for k in range(m - r)], dtype=np.int64)
+            np.add(head, (high @ digits % b).astype(np.uint8), out=block)
+            np.subtract(block, np.uint8(b), out=wrap)  # wraps above block where block < b
+            np.minimum(block, wrap, out=block)
+            block += ascii
+            fh.write(block.data)  # the buffer itself, not a bytes copy
 

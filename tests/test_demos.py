@@ -40,5 +40,5 @@ def test_package_exports_what_the_demos_and_readme_use():
     used |= set(re.findall(r"\bpl\.(\w+)", quick_start.split("```")[1]))
     exported = {name for name, obj in vars(polylat).items()
                 if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
-    assert len(used) == 26
+    assert len(used) == 25
     assert exported == used

@@ -14,7 +14,6 @@ from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, poly_to_string
 from polylat.pointgen import (
     GeneratingVector,
     classical_digit_array,
-    digit_chunks,
     digits_to_values,
     interlace_digit_array,
     interlace_digits,
@@ -23,6 +22,7 @@ from polylat.pointgen import (
     write_points_csv,
     write_points_digits,
 )
+from polylat.oracle import digit_chunks, read_points_digits
 
 
 def make_gv(b, m, encs, alpha=1):
@@ -227,7 +227,7 @@ class TestGeneratingVectorIO:
         csv = tmp_path / "p.csv"
         dig = tmp_path / "p.dig"
         write_points_csv(csv, [vals])
-        write_points_digits(dig, [digits], gv.b)
+        write_points_digits(dig, gv)
         lines = csv.read_text().splitlines()
         assert lines[0] == "y1"
         assert len(lines) == gv.n_points + 1
@@ -263,46 +263,47 @@ class TestGeneratingVectorIO:
         gv = make_gv(b, 3, [1, 5, 2, 7], alpha=2)
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
         path = tmp_path / "p.dig"
-        write_points_digits(path, [digits], b)
-        want = ",".join(f"y{j + 1}" for j in range(gv.s)) + "\n" + "".join(
-            ",".join("".join(str(int(t)) for t in coord) for coord in row) + "\n"
-            for row in digits
-        )
-        assert path.read_bytes() == want.encode()
+        write_points_digits(path, gv)
+        assert path.read_bytes() == _per_character_file(digits)
 
     @pytest.mark.parametrize("fmt", ["csv", "digits"])
     def test_block_writes_match_one_block(self, tmp_path, monkeypatch, fmt):
         monkeypatch.setattr(pointgen, "CSV_CHUNK_VALUES", 128)  # 64 rows a write
         gv = make_gv(3, 5, [1, 5, 2, 7], alpha=2)  # 243 points
-        digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
-        data = digits if fmt == "digits" else digits_to_values(digits, gv.b)
+        values = digits_to_values(interlace_digit_array(classical_digit_array(gv), gv.alpha), gv.b)
         cuts = [0, 1, 1, 70, 199, gv.n_points]  # an empty block; blocks across writes
 
         def write(path, blocks):
+            """The file from CSV blocks, or digit blocks of that many points."""
             if fmt == "digits":
-                write_points_digits(path, blocks, gv.b)
+                monkeypatch.setattr(pointgen, "CHUNK_BYTES", blocks * gv.s * (gv.alpha * gv.m + 1))
+                write_points_digits(path, gv)
             else:
                 write_points_csv(path, blocks)
             return path.read_bytes()
 
-        whole = write(tmp_path / "one", [data])
-        parts = write(tmp_path / "many", (data[i:j] for i, j in zip(cuts, cuts[1:])))
-        assert parts == whole
+        if fmt == "digits":
+            whole, layouts = write(tmp_path / "one", gv.n_points), [27, 1]
+        else:
+            whole, layouts = write(tmp_path / "one", [values]), [
+                (values[i:j] for i, j in zip(cuts, cuts[1:]))]
+        for i, blocks in enumerate(layouts):
+            assert write(tmp_path / f"many{i}", blocks) == whole
         assert whole.count(b"\n") == gv.n_points + 1
 
     def test_digit_strings_need_single_character_digits(self, tmp_path):
+        path = tmp_path / "p.dig"
         with pytest.raises(ValueError, match="b <= 7"):
-            write_points_digits(tmp_path / "p.dig", [np.zeros((1, 1, 2), np.uint8)], 11)
+            write_points_digits(path, make_gv(11, 2, [1, 12], alpha=2))
+        assert not path.exists()  # refused before the file is opened
         with pytest.raises(ValueError, match="b <= 7"):
             poly_to_string(GfPoly(11, (1,)))
 
     def test_digit_format_roundtrip(self, tmp_path):
-        from polylat.oracle import read_points_digits
-
         gv = make_gv(3, 2, [1, 4], alpha=2)
         digits = interlace_digit_array(classical_digit_array(gv), gv.alpha)
         path = tmp_path / "p.dig"
-        write_points_digits(path, [digits], gv.b)
+        write_points_digits(path, gv)
         back = read_points_digits(path, gv.b)
         assert back.shape == digits.shape
         assert (back == digits).all()
@@ -344,6 +345,17 @@ class TestDyadicFormatter:
         small = np.unique(np.clip(np.r_[0:40, cut - 40 : cut + 40], 0, None))
         k = np.concatenate([2**i - 1, 2 ** (i - 1), 2**L - i, small])
         values = (k / 2.0**L).reshape(-1, 1)
+        assert self.formatted(values) == _repr_bytes(values)
+
+    @pytest.mark.parametrize("L", [24, 32])
+    def test_blocks_of_values_below_1e4(self, L):
+        # repr's exponent form and 0.0: every such value at L = 24, a seeded
+        # sample at L = 32, and every power of two, whose lower gap is narrower
+        cut = int(2**L * 1e-4) + 1
+        k = np.arange(cut) if L == 24 else np.random.default_rng(L).integers(0, cut, size=30000)
+        k = np.concatenate([k, 2 ** np.arange(L)])
+        values = (np.resize(k, -(-len(k) // 4) * 4) / 2.0**L).reshape(-1, 4)
+        assert np.mean(values < 1e-4) > 0.99
         assert self.formatted(values) == _repr_bytes(values)
 
     def test_other_blocks_take_the_repr_path(self, tmp_path):
@@ -409,6 +421,46 @@ class TestChunkedDifferential:
             assert (got == want).all()
         else:
             assert (np.abs(got - want) <= np.spacing(want)).all()
+
+
+def _per_character_file(digits):
+    """The digit file of an (N, s, L) digit array, one character at a time."""
+    header = ",".join(f"y{j + 1}" for j in range(digits.shape[1])) + "\n"
+    return (header + "".join(
+        ",".join("".join(str(int(t)) for t in coord) for coord in row) + "\n"
+        for row in digits
+    )).encode()
+
+
+class TestDigitFile:
+    """The digit file writer against the classical digits, interlaced."""
+
+    @pytest.mark.parametrize("blocks", ["several", "one point"])
+    @pytest.mark.parametrize("b,m,alpha,s", RANDOM_SPECS)
+    def test_file_matches_the_digit_oracle(self, b, m, alpha, s, blocks, tmp_path, monkeypatch):
+        rng = np.random.default_rng([b, m, alpha, s, 21])
+        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
+        row = s * (alpha * m + 1)  # file bytes a point
+        r = {"several": m - 2, "one point": 0}[blocks]
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", b**r * row)
+        assert pointgen._block_exponent(gv, row, pointgen.CHUNK_BYTES) == r
+        path = tmp_path / "p.dig"
+        write_points_digits(path, gv)
+        digits = interlace_digit_array(classical_digit_array(gv), alpha)
+        assert path.read_bytes() == _per_character_file(digits)
+
+    @pytest.mark.parametrize("b", [5, 7])
+    def test_cli_round_trip(self, b, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", b * 3 * (2 * 3 + 1))  # b points a block
+        rng = np.random.default_rng(b)
+        gv = make_gv(b, 3, rng.integers(1, b**3, size=6).tolist(), alpha=2)
+        gv.save(tmp_path / "gv.json")
+        path = tmp_path / "p.dig"
+        argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(path), "--format", "digits"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        back = read_points_digits(path, b)
+        assert np.array_equal(back, interlace_digit_array(classical_digit_array(gv), 2))
 
 
 def _recursive_values(digits, b):
