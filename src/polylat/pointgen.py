@@ -11,13 +11,13 @@ Values are exact integer numerators over b^K, one per K-digit segment
 the kernel's exponent tables, the residue n q_j mod P of a point n > 0 is
 g^(exp n + exp q_j), so coordinate j over all points is a cyclic shift of
 one table over the residues.  Member t < alpha of an interlacing block has
-one: the numerators its digits make at their positions t + a alpha.  A
-coordinate's numerator is a sum of alpha table reads (_numerator_tables),
-in exponent order for lattice_points, in point order for value_chunks.
-The exponent tables are the kernel's memo, so after a construction on the
-same modulus neither path rebuilds them.  lattice_points works in value
-blocks: as many exponents as keep their float64 numerators within half of
-CHUNK_BYTES.
+one: the numerators its digits make at their positions t + a alpha.  The
+digits are reads of the exponent tables too: digit 1 of r/P is r's
+coefficient of x^(m-1) over P's leading one, and digit a + 1 of g^x/P is
+digit 1 of x^a g^x/P = g^(x + a c)/P, c the exponent of x.  A coordinate's
+numerator is a sum of alpha table reads (_numerator_tables), in exponent
+order for lattice_points, in point order for value_chunks.  The exponent
+tables are the kernel's memo, not rebuilt after a construction on P.
 
 The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
@@ -39,6 +39,7 @@ import mmap
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gfpoly import (
     DigitVector,
@@ -175,8 +176,6 @@ def _generator_matrices(gv: GeneratingVector) -> np.ndarray:
     linearity in q_j it is sum_k q_jk u_(l+i+k+1), with u the digits of 1/P.
     """
     b, m = gv.b, gv.m
-    if b >= 128:
-        raise ValueError(f"uint8 digit arithmetic needs b < 128, got b={b}")
     one = GfPoly.one(b)
     u = np.array(laurent_digits(one, one, gv.modulus, 3 * m - 2).digits, dtype=np.int64)
     k, l, i = np.ogrid[:m, :m, :m]
@@ -203,6 +202,8 @@ def classical_digit_array(gv: GeneratingVector) -> np.ndarray:
     cross-check of the interlaced path; the digit sums stay in uint8, which
     limits the base to b < 128.
     """
+    if gv.b >= 128:
+        raise ValueError(f"uint8 digit arithmetic needs b < 128, got b={gv.b}")
     C = _generator_matrices(gv)
     out = np.zeros((gv.n_points, gv.d, gv.m), dtype=np.uint8)
     fill_by_doubling(out, C, gv.b)
@@ -290,24 +291,23 @@ def _numerator_tables(gv: GeneratingVector):
     q_(k alpha + t), and tables[t, i, x] the segment-i numerator of member
     t's digits at positions t + a alpha when its residue is g^x.  So point
     n > 0 has numerators sum_t tables[t, :, (exp n + e[k, t]) mod (b^m - 1)]
-    in coordinate k.  The digits of r/P, for every residue r, are filled by
-    b-adic doubling over the generating matrix of q = 1 and then freed.
+    in coordinate k.  Digit a + 1 of g^x/P is top[(x + a c) mod (b^m - 1)],
+    top the top digits of pow_enc times lead(P)^-1 mod b and c = exp_of[b]
+    (a = 0 only, at m = 1): a chunk of digits is m slices of top, doubled.
     """
     b, m, alpha = gv.b, gv.m, gv.alpha
     _, pow_enc, exp_of = exponent_tables(gv.modulus)
     M = len(pow_enc)
-    one = GeneratingVector(gv.modulus, 1, (GfPoly.one(b),))
-    digits = np.zeros((M + 1, m), dtype=np.uint8)
-    fill_by_doubling(digits, _generator_matrices(one)[0], b)
+    digit = np.arange(b) * pow(gv.modulus.poly.coeffs[-1], -1, b) % b  # by top coefficient
+    top = np.tile(digit.astype(np.min_scalar_type(b - 1))[pow_enc // b ** (m - 1)], 2)
+    shifts = np.arange(m) * (exp_of[b] if m > 1 else 0) % M
     Ks, place = _place_values(b, alpha * m)
     place = place.reshape(m, alpha * len(Ks))  # row a, column t: position t + a alpha
     tables = np.empty((alpha * len(Ks), M))
-    residues = digits.view(np.dtype((np.void, m))).ravel()  # one item a digit row
     rows = max(1, CHUNK_BYTES // (8 * m))  # digits cast to float64 at a time
     for i in range(0, M, rows):
-        block = np.take(residues, pow_enc[i : i + rows]).view(digits.dtype).reshape(-1, m)
-        np.matmul(place.T, block.T, out=tables[:, i : i + rows])
-    del digits, residues
+        n = min(rows, M - i)
+        np.matmul(place.T, sliding_window_view(top, n)[shifts + i], out=tables[:, i : i + n])
     e = exp_of[[qj.to_int() for qj in gv.q]].reshape(gv.s, alpha)
     return pow_enc, exp_of, e, Ks, tables.reshape(alpha, len(Ks), M)
 

@@ -347,6 +347,16 @@ class TestConverge:
         assert len(out.read_text().splitlines()) == 4
         assert json.loads((tmp_path / "c.csv.meta.json").read_text())["slope"] is None
 
+    def test_base_beyond_uint8(self, tmp_path, capsys):
+        # the point values need no digit array, so no uint8 digit sums
+        out = tmp_path / "c.csv"
+        argv = ["converge", "--b", "131", "--alpha", "2", "--J", "1", "--p", "0.6",
+                "--s", "2", "--m-range", "1:2", "--out", str(out)]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+            ["1", "131"], ["2", "17161"]]
+
 
 class TestSelftest:
     def test_clean_pass(self, capsys):

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from polylat import cli, pointgen
-from polylat.gfpoly import DigitVector, GfPoly, find_irreducible, poly_to_string
+from polylat.gfpoly import (
+    DigitVector,
+    GfPoly,
+    Modulus,
+    find_irreducible,
+    laurent_digits,
+    poly_to_string,
+)
+from polylat.kernel import exponent_tables
 from polylat.pointgen import (
     GeneratingVector,
     classical_digit_array,
@@ -25,9 +33,10 @@ from polylat.pointgen import (
 from polylat.oracle import digit_chunks, read_points_digits
 
 
-def make_gv(b, m, encs, alpha=1):
+def make_gv(b, m, encs, alpha=1, P=None):
+    """P: the encoding of the modulus, or None for find_irreducible(b, m)."""
     return GeneratingVector(
-        modulus=find_irreducible(b, m),
+        modulus=find_irreducible(b, m) if P is None else Modulus(GfPoly.from_int(b, P)),
         alpha=alpha,
         q=tuple(GfPoly.from_int(b, e) for e in encs),
     )
@@ -481,15 +490,55 @@ def _recursive_values(digits, b):
 # edge cases besides RANDOM_SPECS: alpha = 1, m = 1, both at once
 EDGE_SPECS = [(2, 1, 1, 2), (3, 1, 2, 2), (7, 1, 4, 1), (5, 4, 1, 3), (2, 9, 1, 1)]
 
+# (b, m, encoding of P) besides find_irreducible's monic moduli: x is not a
+# generator modulo x^4+x^3+x^2+x+1 over Z_2 (c = 12) nor modulo x^4+x^2+2
+# over Z_3 (c = 75); 2x^4+2x^2+1 is the latter's unit multiple, and the rest
+# are unit multiples of find_irreducible's moduli, 3x and 3x+2 at m = 1
+OTHER_MODULI = [(2, 4, 31), (3, 4, 92), (3, 4, 181), (5, 3, 262), (7, 2, 150),
+                (5, 1, 15), (7, 1, 23)]
+
+# (b, m, alpha, s, P): P is None for find_irreducible(b, m)
+TABLE_SPECS = [spec + (None,) for spec in RANDOM_SPECS + EDGE_SPECS] + [
+    (b, m, alpha, 2, P) for (b, m, P), alpha in zip(OTHER_MODULI, [2, 3, 2, 2, 3, 1, 2])]
+
+
+class TestTopDigits:
+    """Every Laurent digit of every residue is a read of one sequence."""
+
+    @pytest.mark.parametrize("b,m,P", [(2, 5, None), (3, 3, None), (7, 1, None), (2, 1, None)]
+                             + OTHER_MODULI)
+    def test_residue_digits_and_generating_matrices(self, b, m, P):
+        rng = np.random.default_rng([b, m, 22])
+        gv = make_gv(b, m, rng.integers(1, b**m, size=3).tolist(), P=P)
+        _, pow_enc, exp_of = exponent_tables(gv.modulus)
+        M = len(pow_enc)
+        # top[x] is digit 1 of g^x/P, c the exponent of x
+        top = pow_enc // b ** (m - 1) * pow(gv.modulus.poly.coeffs[-1], -1, b) % b
+        c = exp_of[b] if m > 1 else 0
+        one = GfPoly.one(b)
+        for x in range(M):
+            residue = GfPoly.from_int(b, int(pow_enc[x]))
+            want = laurent_digits(residue, one, gv.modulus, m).digits
+            assert tuple(top[(x + np.arange(m) * c) % M]) == want
+
+        # the Hankel form: C_j[l, i] = top[(e_j + (l + i) c) mod M]
+        e = exp_of[[qj.to_int() for qj in gv.q]]
+        l, i = np.ogrid[:m, :m]
+        C = pointgen._generator_matrices(gv)
+        for j in range(gv.d):
+            assert np.array_equal(C[j], top[(e[j] + (l + i) * c) % M])
+
 
 class TestTableValues:
     """Values from the exponent tables against the digit path, bit for bit."""
 
-    @pytest.mark.parametrize("b,m,alpha,s", RANDOM_SPECS + EDGE_SPECS)
-    def test_values_and_csv_match_the_digit_path(self, b, m, alpha, s, tmp_path, capsys,
+    @pytest.mark.parametrize(
+        "b,m,alpha,s,P", TABLE_SPECS,
+        ids=["-".join(map(str, spec[:4] if spec[4] is None else spec)) for spec in TABLE_SPECS])
+    def test_values_and_csv_match_the_digit_path(self, b, m, alpha, s, P, tmp_path, capsys,
                                                  monkeypatch):
         rng = np.random.default_rng([b, m, alpha, s, 19])
-        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha)
+        gv = make_gv(b, m, rng.integers(1, b**m, size=alpha * s).tolist(), alpha, P)
         digits = interlace_digit_array(classical_digit_array(gv), alpha)
         want = digits_to_values(digits, b)
         # value_chunks in blocks of b^(m-2) points (one point at m <= 2)
@@ -524,6 +573,19 @@ class TestTableValues:
         got = lattice_points(gv)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_base_beyond_uint8(self, m):
+        # no digit array is built, so b >= 128 needs no wider digit sums
+        b, alpha = 131, 2
+        gv = make_gv(b, m, [1, b - 1, b**m - 1, b**m // 3], alpha)
+        got = lattice_points(gv)
+        for n in [0, 1, b - 1, b**m // 2, b**m - 1]:
+            coords = point_for_index(gv, n).coords
+            for k in range(gv.s):
+                digits = interlace_digits(list(coords[k * alpha : (k + 1) * alpha]), alpha)
+                value = sum(Fraction(t, b ** (i + 1)) for i, t in enumerate(digits.digits))
+                assert got[n, k] == float(value)
+
 
 # allocations besides the chunks: matrices, the parser, Python row strings
 SLACK = 1 << 18
@@ -541,7 +603,8 @@ class TestChunkedMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the head block, the chunk and its wrap temporary
+        # the exponent and numerator tables, a chunk of digits cast to float64
+        # and a value block
         assert peak <= pts.nbytes + 3 * chunk + SLACK
 
     def test_lattice_points_peak_at_spod_heavy_size(self):
@@ -573,8 +636,9 @@ class TestChunkedMemory:
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-        # head, chunk and wrap temporary, plus at most 8 bytes per digit of
-        # one chunk as floats or text: below the whole float array
+        # the digit file's head, block and wrap temporary, or the CSV's tables
+        # and value block, plus at most 8 bytes per digit of one chunk as
+        # floats or text: below the whole float array
         bound = 11 * chunk + SLACK
         assert bound < gv.n_points * gv.s * 8
         assert peak <= bound
@@ -605,9 +669,9 @@ class TestChunkedMemory:
             tracemalloc.stop()
         capsys.readouterr()
         assert 0 < max(sizes) <= pointgen.CSV_CHUNK_VALUES
-        # the head block, the last and the next chunk and its wrap temporary, a
-        # block of values and two digits_to_values temporaries, and at most 600
-        # bytes a value of one write: below formatting a whole block at once
+        # the tables, the last and the next block's exponent indices (alpha
+        # floats a value), numerators and values, and at most 600 bytes a value
+        # of one write: below formatting a whole block at once
         bound = 4 * digits + 3 * floats + 600 * pointgen.CSV_CHUNK_VALUES + SLACK
         assert bound < 600 * floats // 8
         assert peak <= bound
