@@ -24,6 +24,12 @@ VECTORS = {
     "b3-alpha2": (3, 5, 2, (1, 97, 200, 31, 150, 242)),
     "b5-alpha3": (5, 3, 3, (1, 48, 117, 66, 9, 101)),
     "b7-alpha4": (7, 2, 4, (1, 30, 45, 8, 17, 40, 2, 33)),
+    # coordinate tuples that repeat (equal tuples give equal columns): four
+    # distinct of eight with (1, 1) first and last, reaching below 1e-4; a
+    # repr-path vector; one tuple in every coordinate
+    "b2-repeats": (2, 10, 2, (1, 1, 627, 90, 300, 300, 627, 90, 1013, 5, 300, 300, 627, 90, 1, 1)),
+    "b3-repeats": (3, 5, 2, (1, 97, 200, 31, 1, 97, 150, 242, 200, 31)),
+    "b2-one-tuple": (2, 8, 3, (5, 77, 200) * 4),
 }
 
 DIGESTS = {
@@ -37,6 +43,12 @@ DIGESTS = {
     ("b5-alpha3", "digits"): "044655922b1f22e6c5d49cd94a98658db697af2ac8bcb7c09b1e66dbcb74d175",
     ("b7-alpha4", "csv"): "18b7751258e6e6cba9a6ec07eca693b32d610b7084aac8396d367b876a5f6fbb",
     ("b7-alpha4", "digits"): "d5a081b754a8118bee6e4ae36ad77147bc7cbdeb7801fec06ed93f7399437bbb",
+    ("b2-repeats", "csv"): "bfe66bb6ad4c1af42535cf20845e79f8516efbdf4e04d00b63d33087c4eb85c3",
+    ("b2-repeats", "digits"): "442f6c1c10c2bc0e9b1f09d625e69d26b0ee3dfbe4462f7dd9331579e1a11bbb",
+    ("b3-repeats", "csv"): "cf618c55a3e6d1a036c3187b0b8182629866f19d102a90698e8de6320c36b66e",
+    ("b3-repeats", "digits"): "05bfbafc67cd8c22e845f5c41ee7d0f7f866da4adfddc588a034e802d016fafe",
+    ("b2-one-tuple", "csv"): "5061d9cd09a45771f2e259bf7bd1fdf53bfe3de6bd557eb78294de52df724fde",
+    ("b2-one-tuple", "digits"): "603dde2fcde247651749abd8df77852960a13c8abc5fcb13876b80c5e376649a",
 }
 
 
@@ -73,3 +85,13 @@ def test_pairs_vector_reaches_exponent_form(tmp_path, capsys):
     capsys.readouterr()
     text = out.read_text()
     assert "e-05" in text and "e-06" in text
+
+
+def test_repeats_vector_reaches_exponent_form(tmp_path, capsys):
+    gv = _vector("b2-repeats")
+    gv.save(tmp_path / "gv.json")
+    out = tmp_path / "points.csv"
+    assert cli.main(["points", "--gv", str(tmp_path / "gv.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert any("e-" in row[0] and row[0] == row[-1] for row in rows)
