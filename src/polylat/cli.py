@@ -28,6 +28,7 @@ from .pointgen import (
     GeneratingVector,
     classical_digit_array,
     digits_to_values,
+    distinct_coordinates,
     interlace_digit_array,
     value_chunks,
     write_points_csv,
@@ -359,7 +360,7 @@ def cmd_points(cfg: RunConfig) -> int:
     if (cfg.format or "csv") == "digits":
         write_points_digits(out, gv)
     else:
-        write_points_csv(out, value_chunks(gv))
+        write_points_csv(out, value_chunks(gv), distinct_coordinates(gv)[1])
     print(f"wrote {gv.n_points} points in {gv.s} dimensions -> {out}")
     return 0
 

@@ -19,6 +19,13 @@ numerator is a sum of alpha table reads (_numerator_tables), in exponent
 order for lattice_points, in point order for value_chunks.  The exponent
 tables are the kernel's memo, not rebuilt after a construction on P.
 
+Coordinates whose tuples (q_(k alpha + 1), ..., q_(k alpha + alpha)) are
+equal are equal at every point (distinct_coordinates maps each coordinate
+to the first with its tuple).  The CSV export computes the distinct ones
+only (value_chunks), formats each of their values once and joins the rows
+through the map (write_points_csv), so a vector with repeated coordinates
+costs the formatting of its distinct ones.
+
 The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
 C_j is the Hankel matrix of the Laurent digits of q_j/P.  The interlaced net
@@ -339,19 +346,37 @@ def lattice_points(gv: GeneratingVector) -> np.ndarray:
     return out
 
 
+def distinct_coordinates(gv: GeneratingVector):
+    """(first, columns) for the coordinate tuples (q_(k alpha + 1), ...,
+    q_(k alpha + alpha)), k < s: first holds the coordinates whose tuple no
+    earlier coordinate has, in order, and columns[k] is the i with tuple k
+    equal to tuple first[i].  Equal tuples give equal coordinates at every
+    point, so coordinate k is coordinate first[columns[k]]."""
+    slot = {}
+    alpha = gv.alpha
+    columns = np.array([slot.setdefault(gv.q[k * alpha : (k + 1) * alpha], len(slot))
+                        for k in range(gv.s)])
+    return np.unique(columns, return_index=True)[1], columns
+
+
 def value_chunks(gv: GeneratingVector):
-    """lattice_points' values of points 0 .. N - 1, in order, as fresh
-    (R, s) blocks read at exponents exp_of[n] + e; R = b^r is the largest
-    power of b with R s alpha m <= CHUNK_BYTES (at least 1, at most N)."""
+    """lattice_points' values of points 0 .. N - 1 in the u coordinates
+    first of distinct_coordinates, in order, as fresh (R, u) blocks; R = b^r
+    is the largest power of b with R u alpha m <= CHUNK_BYTES (at least 1, at
+    most N).  Point n reads the doubled tables at exponents exp_of[n] + e,
+    all in [-1, 2M - 2]: -1 is the origin's, whose row is set to 0.
+    """
     _, exp_of, e, Ks, tables = _numerator_tables(gv)
-    R = gv.b ** _block_exponent(gv, gv.s * gv.alpha * gv.m, CHUNK_BYTES)
+    tables = np.concatenate([tables, tables], axis=-1)
+    e = e[distinct_coordinates(gv)[0]]
+    R = gv.b ** _block_exponent(gv, len(e) * gv.alpha * gv.m, CHUNK_BYTES)
     for start in range(0, gv.n_points, R):
-        at = exp_of[start : start + R, None] + e.T[:, None, :]  # (alpha, R, s)
+        at = exp_of[start : start + R, None] + e.T[:, None, :]  # (alpha, R, u)
         num = np.empty((len(Ks), *at.shape[1:]))
         for i in range(len(Ks)):
-            np.take(tables[0, i], at[0], out=num[i], mode="wrap")
+            np.take(tables[0, i], at[0], out=num[i])
             for t in range(1, gv.alpha):
-                num[i] += tables[t, i].take(at[t], mode="wrap")
+                num[i] += tables[t, i].take(at[t])
         values = _values(num, Ks, gv.b)
         if start == 0:
             values[0] = 0.0  # exp_of[0] is -1: the origin has no exponent
@@ -389,8 +414,9 @@ def interlace_digits(streams, alpha: int) -> DigitVector:
 # -- file formats -------------------------------------------------------------
 
 
-# values per write: bounds the Python floats and strings of the repr path and
-# the scratch arrays of the dyadic one (about 300 bytes a value), whatever N is
+# distinct values formatted at a time, and file values packed per write: bounds
+# the Python floats and strings of the repr path and the scratch arrays of the
+# dyadic one (about 350 bytes a value), whatever N is
 CSV_CHUNK_VALUES = 1 << 12
 
 
@@ -420,12 +446,24 @@ class _DyadicFormatter:
     mode 0).  With B = D + H, its digits are the first W - r* digits of B,
     r* the largest r with B mod 10^r <= 2H, the last of them lowered to the
     candidate nearest D, which never borrows.  Values below 1e-4 take the
-    same digits in repr's exponent form.  The scratch arrays are sized for
-    the largest block seen and reused.
+    same digits in repr's exponent form.
+
+    A file row has s values, of which its u distinct ones are formatted:
+    value k of a row is distinct value columns[k] (distinct_coordinates).
+    slots turns up to slot_rows rows of distinct values into fixed-width
+    records "0.ddd" with the column where each one's separator goes; pack
+    turns up to pack_rows of those rows into CSV lines, gathering the
+    records through columns, or in place when columns is the identity.
+    The scratch arrays live in one mapping sized for the largest call seen
+    and reused.
     """
 
-    def __init__(self, s: int):
-        self.s = s
+    def __init__(self, columns: np.ndarray):
+        self.columns = columns
+        self.s = len(columns)
+        self.u = int(columns.max()) + 1
+        self.slot_rows = max(1, CSV_CHUNK_VALUES // self.u)
+        self.pack_rows = max(1, CSV_CHUNK_VALUES // self.s)
         self.n = 0
         self.gap_tables = {}
 
@@ -444,6 +482,10 @@ class _DyadicFormatter:
             ("keep", (35 * n,), bool),
             ("out", (35 * n,), np.uint8),
             ("seps", (n,), np.uint8),
+            ("base", (n,), np.int64),  # slot of each packed value, from row 0
+            ("index", (n,), np.int64),
+            ("gathered", (35 * n,), np.uint8),
+            ("gathered_end", (n,), np.int64),
             ("digit_table", (10, 10, 10, 10, 4), np.uint8),
         ]
         sizes = [-(-np.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for _, shape, dtype in fields]
@@ -459,6 +501,7 @@ class _DyadicFormatter:
         self.n = n
         self.seps[:] = ord(",")
         self.seps[self.s - 1 :: self.s] = ord("\n")
+        self.base[:] = np.arange(n) // self.s * self.u + np.resize(self.columns, n)
         # "0000" .. "9999", one uint32 each, to write digits four at a time
         digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
         for place in range(4):
@@ -479,24 +522,25 @@ class _DyadicFormatter:
             self.gap_tables[W] = np.array(cols, np.int64).T.copy()
         return self.gap_tables[W]
 
-    def format(self, rows: np.ndarray):
-        """The bytes of the CSV lines of rows, as a uint8 view of the scratch
-        space valid until the next call; None unless every value is k/2^L
-        with 0 <= k < 2^L, L <= 32."""
+    def slots(self, rows: np.ndarray) -> bool:
+        """Format rows, at most slot_rows of u distinct values, as the records
+        pack reads; False, with nothing formatted, unless every value is
+        k/2^L with 0 <= k < 2^L, L <= 32."""
         v = rows.reshape(-1)
         n = v.size
         if n == 0:
-            return None
+            return False
         lo = v.min()
         if not (lo >= 0.0 and v.max() < 1.0):  # NaN fails too
-            return None
-        if n > self.n:
-            self._allocate(n)
+            return False
+        size = max(n, min(len(rows), self.pack_rows) * self.s)
+        if size > self.n:
+            self._allocate(size)
         f, k, flag = self.f[:n], self.k[:n], self.flag[:n]
         np.multiply(v, 2.0**32, out=f)
         np.copyto(k, f, casting="unsafe")
         if not np.equal(k, f, out=flag).all():
-            return None
+            return False
         bits = int(np.bitwise_or.reduce(k))
         L = 32 - ((bits & -bits).bit_length() - 1) if bits else 1
         W = -(-L // 8) * 8
@@ -572,7 +616,8 @@ class _DyadicFormatter:
         text[:, 0] = ord("0")
         text[:, 1] = ord(".")
         text[:, 2 : W + 2] = chars
-        end = last + 3  # the separator's column
+        last += 3
+        end = last  # the separator's column
 
         # below 1e-4, repr's exponent form: d.ddde-XX (de-XX for one digit),
         # the digits from the leading one, at column lead >= 4, XX = lead + 1
@@ -585,7 +630,7 @@ class _DyadicFormatter:
             mantissa = chars.reshape(-1)[cols + (small * W)[:, None]]
             text[small, 0] = mantissa[:, 0]
             text[small, 2 : W - 3] = mantissa[:, 1:]
-            after = last[small] - lead  # digits after the leading one
+            after = end[small] - 3 - lead  # digits after the leading one
             at = np.where(after > 0, after + 2, 1)  # the e's column
             text[small[:, None], at[:, None] + np.arange(4)] = _EXPONENTS[lead + 1]
             end[small] = at + 4
@@ -594,36 +639,64 @@ class _DyadicFormatter:
                 if rows.size:
                     text[rows, : len(word)] = np.frombuffer(word, np.uint8)
                     end[rows] = len(word)
-        text[ar, end] = self.seps[:n]
+        self.width, self.slot_text, self.slot_end = width, text, end
+        return True
+
+    def pack(self, start: int, stop: int) -> np.ndarray:
+        """The bytes of the CSV lines of rows start .. stop - 1 of the last
+        slots call, at most pack_rows of them, as a uint8 view of the scratch
+        space valid until the next call."""
+        s, width = self.s, self.width
+        n = (stop - start) * s
+        if self.u == s:  # the identity: the records are the values in order
+            text = self.slot_text[start * s : stop * s]
+            end = self.slot_end[start * s : stop * s]
+        else:
+            at = np.add(self.base[:n], start * self.u, out=self.index[:n])
+            text = self.gathered[: n * width].reshape(n, width)
+            np.take(self.slot_text, at, axis=0, out=text, mode="clip")
+            end = np.take(self.slot_end, at, out=self.gathered_end[:n], mode="clip")
+        text[np.arange(n), end] = self.seps[:n]
         keep = self.keep[: n * width].reshape(n, width)
         np.take(np.arange(width) <= np.arange(width)[:, None], end, axis=0, out=keep)
         out = self.out[: int(end.sum()) + n]
         return np.compress(keep.reshape(-1), text.reshape(-1), out=out)
 
 
-def write_points_csv(path, blocks):
+def write_points_csv(path, blocks, columns=None):
     """Decimal CSV, one row per point, header y1..ys; each value is repr(float).
 
-    blocks is an iterable of (n_i, s) value arrays written in order (pass
-    [values] for one array); the header comes from the first block.  Rows
-    whose values are all k/2^L with L <= 32 (base-2 points up to alpha*m =
-    32) are formatted by exact integer arithmetic (_DyadicFormatter), others
-    by repr one value at a time; the bytes are the same.  The file is written
-    in binary, so lines end in "\n" on every platform.
+    blocks is an iterable of (n_i, u) value arrays written in order (pass
+    [values] for one array).  Column k of the file is column columns[k] of
+    the blocks, as value_chunks' blocks of distinct coordinates map through
+    distinct_coordinates' columns; by default (None) every column once, in
+    order.  Each block value is formatted once: when all of up to
+    CSV_CHUNK_VALUES of them are k/2^L with L <= 32 (base-2 points up to
+    alpha*m = 32), by exact integer arithmetic (_DyadicFormatter), else by
+    repr, and the rows are joined through columns, at most CSV_CHUNK_VALUES
+    file values a write; the bytes are the same.  The file is written in
+    binary, so lines end in "\n" on every platform.
     """
     with open(path, "wb") as fh:
         for i, values in enumerate(blocks):
-            s = values.shape[1]
             if i == 0:
-                fh.write(_header(s).encode())
-                dyadic = _DyadicFormatter(s)
-            step = max(1, CSV_CHUNK_VALUES // s)
-            for start in range(0, len(values), step):
-                rows = values[start : start + step]
-                text = dyadic.format(rows)
-                if text is None:
-                    text = "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
-                fh.write(text)
+                columns = np.arange(values.shape[1]) if columns is None else np.asarray(columns)
+                fh.write(_header(len(columns)).encode())
+                dyadic = _DyadicFormatter(columns)
+            for start in range(0, len(values), dyadic.slot_rows):
+                rows = values[start : start + dyadic.slot_rows]
+                if dyadic.slots(rows):
+                    strings = None
+                else:
+                    strings = np.array(list(map(repr, rows.reshape(-1).tolist())), dtype=object)
+                    strings = strings.reshape(rows.shape)
+                for lo in range(0, len(rows), dyadic.pack_rows):
+                    hi = min(lo + dyadic.pack_rows, len(rows))
+                    if strings is None:
+                        fh.write(dyadic.pack(lo, hi))
+                    else:
+                        lines = strings[lo:hi, columns].tolist()
+                        fh.write("".join(",".join(line) + "\n" for line in lines).encode())
 
 
 def write_points_digits(path, gv: GeneratingVector):

@@ -23,10 +23,12 @@ from polylat.pointgen import (
     GeneratingVector,
     classical_digit_array,
     digits_to_values,
+    distinct_coordinates,
     interlace_digit_array,
     interlace_digits,
     lattice_points,
     point_for_index,
+    value_chunks,
     write_points_csv,
     write_points_digits,
 )
@@ -327,13 +329,12 @@ class TestDyadicFormatter:
 
     @staticmethod
     def formatted(values):
-        fmt = pointgen._DyadicFormatter(values.shape[1])
-        step = max(1, pointgen.CSV_CHUNK_VALUES // values.shape[1])
+        fmt = pointgen._DyadicFormatter(np.arange(values.shape[1]))
         out = []
-        for start in range(0, len(values), step):
-            text = fmt.format(values[start : start + step])
-            assert text is not None
-            out.append(text.tobytes())
+        for start in range(0, len(values), fmt.slot_rows):
+            rows = values[start : start + fmt.slot_rows]
+            assert fmt.slots(rows)
+            out.append(fmt.pack(0, len(rows)).tobytes())
         return b"".join(out)
 
     @pytest.mark.parametrize("L", range(1, 19))
@@ -374,9 +375,62 @@ class TestDyadicFormatter:
         long = rng.integers(0, 2**34, size=(6, 4)) / 2.0**34
         long[0, 0] = 1 / 2**34  # L = 34 > 32
         for values in (mixed, long, -mixed, mixed + 1):
-            assert pointgen._DyadicFormatter(4).format(values) is None
+            assert not pointgen._DyadicFormatter(np.arange(4)).slots(values)
             write_points_csv(tmp_path / "p.csv", [values])
             assert (tmp_path / "p.csv").read_bytes() == b"y1,y2,y3,y4\n" + _repr_bytes(values)
+
+
+class TestColumnMap:
+    """Repeated coordinate tuples: the map to distinct ones, and the CSV
+    written from the distinct columns against the expanded array."""
+
+    @pytest.mark.parametrize("alpha,encs,first,columns", [
+        (2, [1, 5, 3, 7, 1, 5, 6, 2, 3, 7, 1, 5], [0, 1, 3], [0, 1, 0, 2, 1, 0]),
+        (2, [1, 5, 5, 1, 1, 6], [0, 1, 2], [0, 1, 2]),  # equal members, swapped pairs
+        (3, [2, 6, 7] * 4, [0], [0, 0, 0, 0]),
+        (1, [4, 4, 1, 4, 1, 3], [0, 2, 5], [0, 0, 1, 0, 1, 2]),
+    ], ids=["first-appearance", "all-distinct", "all-equal", "alpha1"])
+    def test_distinct_coordinates(self, alpha, encs, first, columns):
+        got_first, got_columns = distinct_coordinates(make_gv(2, 3, encs, alpha))
+        assert got_first.tolist() == first
+        assert got_columns.tolist() == columns
+
+    def test_value_chunks_hold_the_distinct_coordinates(self, monkeypatch):
+        gv = make_gv(2, 6, [9, 40, 3, 3, 9, 40, 17, 5, 3, 3], alpha=2)
+        first, columns = distinct_coordinates(gv)
+        monkeypatch.setattr(pointgen, "CHUNK_BYTES", 8 * len(first) * gv.alpha * gv.m)
+        blocks = list(value_chunks(gv))
+        assert [len(block) for block in blocks] == [8] * 8
+        got = np.concatenate(blocks)
+        want = lattice_points(gv)
+        assert np.array_equal(got.view(np.int64), want[:, first].view(np.int64))
+        assert np.array_equal(want.view(np.int64), got[:, columns].view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_csv_through_columns_matches_the_expanded_array(self, seed, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(pointgen, "CSV_CHUNK_VALUES", int(rng.choice([64, 100, 4096])))
+        s = int(rng.choice([1, 3, 7, 40]))
+        columns = rng.integers(0, rng.integers(1, s + 1), size=s)
+        _, columns = np.unique(columns, return_inverse=True)  # every slot used
+        u = columns.max() + 1
+        rows = int(rng.integers(50, 400))  # not a multiple of CSV_CHUNK_VALUES // s
+        L = int(rng.choice([10, 24, 32]))
+        values = rng.integers(0, 2**L, size=(rows, u)) / 2.0**L
+        values[0] = 0.0
+        values[1, columns[-1]] = 2.0**-24  # the narrow-gap values, in a column
+        values[2, columns[-1]] = 2.0**-25  # that repeats when u < s
+        values[3, 0] = 3 * 2.0**-30  # exponent form
+        cut = int(rng.integers(1, rows))
+        blocks = [values[:cut], values[cut:cut], values[cut:]]
+        repr_rows = rng.random((5, u))  # a block on the repr path
+        for i, block in enumerate([values, repr_rows]):
+            write_points_csv(tmp_path / "got.csv", blocks if i == 0 else [block], columns)
+            write_points_csv(tmp_path / "want.csv", [block[:, columns]])
+            want = (tmp_path / "want.csv").read_bytes()
+            assert (tmp_path / "got.csv").read_bytes() == want
+            assert want == ",".join(f"y{k + 1}" for k in range(s)).encode() + b"\n" + _repr_bytes(
+                block[:, columns])
 
 
 def _random_specs(count, seed):
@@ -647,31 +701,44 @@ class TestChunkedMemory:
         # spod-heavy's size (s = 200, alpha*m = 24) at the default CHUNK_BYTES
         rng = random.Random(6)
         gv = make_gv(2, 12, [rng.randrange(1, 2**12) for _ in range(400)], alpha=2)
-        digits = next(digit_chunks(gv)).nbytes
-        floats = digits // (gv.alpha * gv.m) * 8
-        gv.save(tmp_path / "gv.json")
-        # the scratch arrays live in an anonymous mapping, which tracemalloc
-        # does not see: record their size instead
-        sizes = []
-        allocate = pointgen._DyadicFormatter._allocate
+        _check_csv_scratch(gv, tmp_path, capsys, monkeypatch)
 
-        def recording(fmt, n):
-            sizes.append(n)
-            allocate(fmt, n)
+    def test_cli_csv_scratch_with_repeated_coordinates(self, tmp_path, capsys, monkeypatch):
+        # spod-heavy's size with 6 distinct coordinate tuples: the CSV formats
+        # those only, within the same bounds
+        rng = random.Random(7)
+        pairs = [(rng.randrange(1, 2**12), rng.randrange(1, 2**12)) for _ in range(6)]
+        gv = make_gv(2, 12, [q for _ in range(200) for q in rng.choice(pairs)], alpha=2)
+        assert len(distinct_coordinates(gv)[0]) == 6
+        _check_csv_scratch(gv, tmp_path, capsys, monkeypatch)
 
-        monkeypatch.setattr(pointgen._DyadicFormatter, "_allocate", recording)
-        argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(tmp_path / "p.csv")]
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        assert 0 < max(sizes) <= pointgen.CSV_CHUNK_VALUES
-        # the tables, the last and the next block's exponent indices (alpha
-        # floats a value), numerators and values, and at most 600 bytes a value
-        # of one write: below formatting a whole block at once
-        bound = 4 * digits + 3 * floats + 600 * pointgen.CSV_CHUNK_VALUES + SLACK
-        assert bound < 600 * floats // 8
-        assert peak <= bound
+
+def _check_csv_scratch(gv, tmp_path, capsys, monkeypatch):
+    digits = next(digit_chunks(gv)).nbytes
+    floats = digits // (gv.alpha * gv.m) * 8
+    gv.save(tmp_path / "gv.json")
+    # the scratch arrays live in an anonymous mapping, which tracemalloc
+    # does not see: record their size instead
+    sizes = []
+    allocate = pointgen._DyadicFormatter._allocate
+
+    def recording(fmt, n):
+        sizes.append(n)
+        allocate(fmt, n)
+
+    monkeypatch.setattr(pointgen._DyadicFormatter, "_allocate", recording)
+    argv = ["points", "--gv", str(tmp_path / "gv.json"), "--out", str(tmp_path / "p.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert 0 < max(sizes) <= pointgen.CSV_CHUNK_VALUES
+    # the tables, the last and the next block's exponent indices (alpha
+    # floats a value), numerators and values, and at most 600 bytes a value
+    # of one write: below formatting a whole block at once
+    bound = 4 * digits + 3 * floats + 600 * pointgen.CSV_CHUNK_VALUES + SLACK
+    assert bound < 600 * floats // 8
+    assert peak <= bound
