@@ -73,7 +73,7 @@ import numpy as np
 
 from .gfpoly import GfPoly, Modulus, find_irreducible
 from .kernel import OmegaMatrix, omega_at_position
-from .pointgen import GeneratingVector
+from .pointgen import GeneratingVector, distinct_coordinates
 from .weights import WeightSpec, cbc_bound, order_weight
 
 
@@ -124,6 +124,11 @@ class CbcResult:
     (the kernel table), product and spod_recursion (each regime's
     recursion, scoring excluded), scoring (FFT multiply, argmin and tie
     rescoring over all steps) and total; oracle.slow_cbc reports only total.
+
+    distinct_coordinates counts the distinct coordinate tuples of the
+    vector, and repeated_coordinates lists [k, j] for each coordinate k
+    whose tuple equals that of the earlier coordinate j (0-based: file
+    columns y(k+1) and y(j+1)), whose points then agree in both.
     """
 
     gen_vector: GeneratingVector
@@ -141,6 +146,15 @@ class CbcResult:
     def m(self) -> int:
         return self.gen_vector.m
 
+    @property
+    def distinct_coordinates(self) -> int:
+        return len(distinct_coordinates(self.gen_vector)[0])
+
+    @property
+    def repeated_coordinates(self) -> list:
+        first, columns = distinct_coordinates(self.gen_vector)
+        return [[k, int(first[i])] for k, i in enumerate(columns) if first[i] != k]
+
     def sidecar_dict(self, bound_check=None) -> dict:
         doc = {
             "E_per_step": [float(e) for e in self.criterion_per_step],
@@ -149,6 +163,8 @@ class CbcResult:
             "spod_order_cap": self.cost.spod_order_cap,
             "spod_rerun": self.cost.spod_rerun,
             "rescored": list(self.cost.rescored),
+            "distinct_coordinates": self.distinct_coordinates,
+            "repeated_coordinates": self.repeated_coordinates,
         }
         if bound_check is not None:
             doc["bound_check"] = bound_check.to_json_dict()

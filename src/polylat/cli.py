@@ -335,6 +335,10 @@ def cmd_construct(cfg: RunConfig) -> int:
     sidecar = dict(result.sidecar_dict(), config=meta)
     _write_json(sidecar_path, sidecar)
     print(f"constructed {result.d} components (J={result.J}) -> {out}")
+    if result.repeated_coordinates:
+        print(f"warning: {len(result.repeated_coordinates)} of {cfg.s} coordinates repeat an "
+              f"earlier coordinate's generating polynomials ({result.distinct_coordinates} "
+              f"distinct), so their point columns are equal; see {sidecar_path}", file=sys.stderr)
     try:
         check = verify_bound(result, spec, grid)
     except ValueError as exc:

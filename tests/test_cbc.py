@@ -526,7 +526,8 @@ class TestSidecar:
         check = verify_bound(res, spec)
         doc = res.sidecar_dict(bound_check=check)
         assert set(doc) == {"E_per_step", "J", "timings", "bound_check", "spod_order_cap",
-                            "spod_rerun", "rescored"}
+                            "spod_rerun", "rescored", "distinct_coordinates",
+                            "repeated_coordinates"}
         assert doc["timings"] == res.timings
         assert doc["rescored"] == res.cost.rescored and len(doc["rescored"]) == res.d - 1
         assert all(type(n) is int for n in doc["rescored"])

@@ -45,6 +45,31 @@ class TestConstruct:
         assert side["spod_order_cap"] is None and side["spod_rerun"] is False
         assert len(side["rescored"]) == 5  # steps 2..6; step 1 is q = 1
 
+    def test_repeated_coordinates_warn_and_go_to_the_sidecar(self, tmp_path, capsys):
+        # J = 0 (SPOD only): today's search repeats coordinate 2 in 3 and 4
+        out = tmp_path / "vec.json"
+        argv = ["construct", "--b", "2", "--m", "4", "--alpha", "2", "--s", "4", "--J", "0",
+                "--p", "0.6", "--beta-c", "0.4", "--beta-theta", "2", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 0
+        side = json.loads((tmp_path / "vec.cbc.json").read_text())
+        assert side["distinct_coordinates"] == 2
+        assert side["repeated_coordinates"] == [[2, 1], [3, 1]]
+        q = json.loads(out.read_text())["q"]
+        assert q[4:6] == q[6:8] == q[2:4] != q[0:2]
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "2 of 4 coordinates repeat" in warnings[0]
+
+    def test_no_warning_without_repeats(self, tmp_path, capsys):
+        out = tmp_path / "vec.json"
+        argv = ["construct", "--b", "2", "--m", "6", "--alpha", "2", "--s", "3", "--J", "3",
+                "--p", "0.6", "--beta-c", "0.4", "--beta-theta", "2", "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 0
+        assert not any(line.startswith("warning:") for line in (stdout + err).splitlines())
+        side = json.loads((tmp_path / "vec.cbc.json").read_text())
+        assert side["distinct_coordinates"] == 3 and side["repeated_coordinates"] == []
+
     def test_sidecar_name_strips_only_the_trailing_json(self, tmp_path, capsys):
         (tmp_path / "a.json.d").mkdir()
         out = tmp_path / "a.json.d" / "v.json"
