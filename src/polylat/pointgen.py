@@ -364,11 +364,12 @@ def distinct_coordinates(gv: GeneratingVector):
 
 
 def value_chunks(gv: GeneratingVector):
-    """lattice_points' values of points 0 .. N - 1 in the u coordinates
-    first of distinct_coordinates, in order, as fresh (R, u) blocks; R = b^r
-    is the largest power of b with R u alpha m <= CHUNK_BYTES (at least 1, at
-    most N).  Point n reads the doubled tables at exponents exp_of[n] + e,
-    all in [-1, 2M - 2]: -1 is the origin's, whose row is set to 0.
+    """lattice_points' values of points 0 .. N - 1 in the u distinct
+    coordinates (first of distinct_coordinates), in order, as fresh (R, u)
+    blocks; R = b^r is the largest power of b with R u alpha m <= CHUNK_BYTES
+    (at least 1, at most N).  Point n reads the doubled tables at exponents
+    exp_of[n] + e, all in [-1, 2M - 2]: -1 is the origin's, whose row is set
+    to 0.
     """
     _, exp_of, e, Ks, tables = _numerator_tables(gv)
     tables = np.concatenate([tables, tables], axis=-1)
