@@ -466,6 +466,7 @@ class _DyadicFormatter:
     def __init__(self, columns: np.ndarray):
         self.columns = columns
         self.s = len(columns)
+        self.identity = np.array_equal(columns, np.arange(self.s))
         self.u = int(columns.max()) + 1
         self.slot_rows = max(1, CSV_CHUNK_VALUES // self.u)
         self.pack_rows = max(1, CSV_CHUNK_VALUES // self.s)
@@ -653,7 +654,7 @@ class _DyadicFormatter:
         space valid until the next call."""
         s, width = self.s, self.width
         n = (stop - start) * s
-        if self.u == s:  # the identity: the records are the values in order
+        if self.identity:  # the records are the values in order
             text = self.slot_text[start * s : stop * s]
             end = self.slot_end[start * s : stop * s]
         else:

@@ -432,6 +432,19 @@ class TestColumnMap:
             assert want == ",".join(f"y{k + 1}" for k in range(s)).encode() + b"\n" + _repr_bytes(
                 block[:, columns])
 
+    @pytest.mark.parametrize("columns", [[2, 0, 1], [1, 0], [0, 2, 1, 3], [4, 3, 2, 1, 0]])
+    def test_csv_through_a_permutation(self, columns, tmp_path):
+        # u = s, yet the map is not the identity: the records are gathered
+        rng = np.random.default_rng(len(columns))
+        s = len(columns)
+        dyadic = rng.integers(0, 2**20, size=(30, s)) / 2.0**20
+        for block in (dyadic, rng.random((7, s))):  # the dyadic and the repr path
+            write_points_csv(tmp_path / "got.csv", [block], columns)
+            write_points_csv(tmp_path / "want.csv", [block[:, columns]])
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        write_points_csv(tmp_path / "row.csv", [np.array([[0.5, 0.25, 0.125]])], [2, 0, 1])
+        assert (tmp_path / "row.csv").read_bytes() == b"y1,y2,y3\n0.125,0.5,0.25\n"
+
 
 def _random_specs(count, seed):
     """Small (b, m, alpha, s) specs; b^m stays small enough for the oracle."""
