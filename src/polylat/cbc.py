@@ -50,15 +50,8 @@ regime (the derivative of the assembled criterion with respect to the new
 factor; scoring the full assembled vector instead would add a spurious
 candidate-dependent term and break agreement with the direct criterion).
 
-Every running quantity is a product or sum of column entries
-omega(n q_j mod P), and multiplying n by a scalar lambda of Z_b^* keeps the
-degree of n q_j mod P, so Y, V, S1, U, X, W and S2 agree at n and lambda n.
-They are stored in T + 1 = (b^m-1)/(b-1) + 1 class slots (slot 0 the point
-n = 0, slot 1 + i the class of g^i; OmegaMatrix.class_of maps points to
-slots), which is b-1 times less work and memory than one entry per point.
-Each criterion still sums the natural-order vector of all b^m points, and
-the FFT input is each class's value added b-1 times, so every bit is what a
-point-by-point recursion gives.
+Y, V, S1, U, X, W and S2 are stored in the OmegaMatrix's T + 1 class slots
+(polylat.kernel), which also scores, rescores and averages them.
 
 The oracle for fast_cbc is polylat.oracle.slow_cbc, the same greedy rule
 driven by the literal subset-sum criterion (polylat.oracle.direct_criterion).
@@ -87,14 +80,12 @@ class CostLog:
     constant per step because L depends only on b and m.
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
-    part of the cost model, the U update the alpha(s-J)N part).  The
-    counts stay in these per-point units, although each row the sweep
-    touches holds only the T + 1 class slots.  Block
+    part of the cost model, the U update the alpha(s-J)N part), although
+    each row the sweep touches holds only the T + 1 class slots.  Block
     s's U update is applied during block s+1's sweep and recorded then;
     the final block's update is never read, so it is skipped and has no
-    spod_update_units entry.
-    Both count only the rows actually swept, so once an order cap K is set
-    they stop growing with s.
+    spod_update_units entry.  Both count only the rows actually swept, so
+    once an order cap K is set they stop growing with s.
     rescored: per scored step (steps 2..d; step 1 is fixed to q = 1), the
     number of scalar classes {lambda q} (b-1 candidates that share one
     column) rescored exactly, one monic member each, because their FFT
@@ -189,11 +180,10 @@ def _argmin_candidate(
     """Smallest-encoding argmin with exact rescoring of FFT-level near-ties.
 
     scores holds one FFT score per scalar class {lambda q}, as
-    OmegaMatrix.multiply returns them, and weight the scoring vector in
+    OmegaMatrix.class_scores returns them, and weight the scoring vector in
     class slots.  Every member of a class has the same column and so the
-    same exact score; the classes in the near-tie band are rescored through
-    their smallest encodings against weight spread to natural point order,
-    built only when the band holds more than one class.  Returns
+    same exact score; when the near-tie band holds more than one class,
+    each is rescored exactly through its smallest encoding.  Returns
     (encoding, number of classes rescored exactly; 0 when the band holds
     one class).  Raises NonFiniteScoreError when any score is inf or NaN:
     an overflowed scoring vector leaves no trustworthy ordering of the
@@ -207,8 +197,7 @@ def _argmin_candidate(
     cands = matrix.class_enc[scores <= best + band]
     if len(cands) == 1:
         return int(cands[0]), 0
-    vec = weight[matrix.class_of[1:]]
-    exact = np.array([matrix.score_exact(int(e), vec) for e in cands])
+    exact = matrix.exact_scores(cands, weight)
     ebest = float(exact.min())
     eband = 1e-12 * max(1.0, abs(ebest))
     return int(cands[exact <= ebest + eband].min()), len(cands)
@@ -242,13 +231,10 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
     t_phase = time.perf_counter()
     matrix = OmegaMatrix(modulus, alpha)
     timings["omega_matrix"] = time.perf_counter() - t_phase
-    N = matrix.n_points
     slots = matrix.period + 1
-    class_of = matrix.class_of
-    omega0 = omega_at_position(None, alpha, b)
     search_unit = matrix.fft_len * (matrix.fft_len.bit_length() - 1)
 
-    cost = CostLog(n_points=N)
+    cost = CostLog(n_points=matrix.n_points)
     chosen = []
     e_steps = []
 
@@ -258,26 +244,12 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             chosen.append(1)
             return 1
         t_score = time.perf_counter()
-        # the FFT input sums each class over its b-1 points as f + f + ... + f,
-        # left to right like a fold point by point; (b-1) f would round
-        # differently from b = 7 on
-        f = weight[1:]
-        scores = matrix.multiply(sum([f] * (b - 2), f))
+        scores = matrix.class_scores(weight)
         enc, n_rescored = _argmin_candidate(scores, matrix, weight, len(chosen) + 1, regime)
         cost.rescored.append(n_rescored)
         chosen.append(enc)
         timings["scoring"] += time.perf_counter() - t_score
         return enc
-
-    def full_column(enc: int) -> np.ndarray:
-        col = np.empty(slots)
-        col[0] = omega0
-        col[1:] = matrix.class_column(enc)
-        return col
-
-    def mean(x: np.ndarray) -> float:
-        # np.sum over all N points in natural order rounds as with one entry per point
-        return float(np.sum(x[class_of])) / N
 
     Y = np.ones(slots)
     t_phase = time.perf_counter()
@@ -285,8 +257,8 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         G_s = sum(math.factorial(nu) * order_weight(s, nu, spec) for nu in range(1, alpha + 1))
         V = np.ones(slots)
         for _t in range(alpha):
-            V = V * (1.0 + full_column(select(V * Y, "product")))
-            e_steps.append(mean((1.0 + G_s * (V - 1.0)) * Y) - 1.0)
+            V = V * (1.0 + matrix.slot_column(select(V * Y, "product")))
+            e_steps.append(matrix.point_mean((1.0 + G_s * (V - 1.0)) * Y) - 1.0)
         Y = (1.0 + G_s * (V - 1.0)) * Y
     timings["product"] = time.perf_counter() - t_phase - timings["scoring"]
 
@@ -296,7 +268,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
         t_phase = time.perf_counter()
         n_chosen, n_scored = len(chosen), len(cost.rescored)
         try:
-            e_steps += _spod_regime(spec, s_max, S1, select, full_column, mean, cost, _CAP_MARGIN)
+            e_steps += _spod_regime(spec, s_max, S1, select, matrix, cost, _CAP_MARGIN)
         except _CapTripped:
             cost.spod_rerun = True
         if cost.spod_rerun:
@@ -305,7 +277,7 @@ def fast_cbc(spec: WeightSpec, m: int, s_max: int, modulus: Modulus | None = Non
             del chosen[n_chosen:], cost.search_units[n_chosen:], cost.rescored[n_scored:]
             cost.spod_assembly_units.clear()
             cost.spod_update_units.clear()
-            e_steps += _spod_regime(spec, s_max, S1, select, full_column, mean, cost, 0.0)
+            e_steps += _spod_regime(spec, s_max, S1, select, matrix, cost, 0.0)
         timings["spod_recursion"] = time.perf_counter() - t_phase - (timings["scoring"] - scored)
 
     q = tuple(GfPoly.from_int(b, enc) for enc in chosen)
@@ -402,11 +374,11 @@ def _certify_cap(U_rows, K, A, gval, L, W, S2_prev) -> np.ndarray:
     return xtail
 
 
-def _spod_regime(spec, s_max, S1, select, full_column, mean, cost, cap_margin) -> list:
+def _spod_regime(spec, s_max, S1, select, matrix, cost, cap_margin) -> list:
     """Blocks J+1..s_max of the search; returns their per-step criteria.
 
-    S1 and every per-point row hold one entry per class slot; mean averages
-    such a vector over all points, and the unit counts stay per point.
+    S1 and every per-point row hold one entry per class slot of matrix, and
+    the unit counts stay per point.
     With cap_margin > 0 the sweep may stop at an order cap K; a capped block
     whose certificate fails raises _CapTripped, and the caller reruns the
     regime with cap_margin 0.
@@ -472,9 +444,9 @@ def _spod_regime(spec, s_max, S1, select, full_column, mean, cost, cap_margin) -
                 predict_at = s + 1 + int(min(excess, 120.0) // _CAP_FALL)
         V = np.ones(slots)
         for _t in range(alpha):
-            V = V * (1.0 + full_column(select(V * W * one_plus_S1, "SPOD")))
+            V = V * (1.0 + matrix.slot_column(select(V * W * one_plus_S1, "SPOD")))
             S2 = S2_prev + (V - 1.0) * W
-            e_steps.append(mean(S1 + S2 * one_plus_S1))
+            e_steps.append(matrix.point_mean(S1 + S2 * one_plus_S1))
         np.subtract(V, 1.0, out=vm1)
         if xtail is not None:
             A += np.abs(vm1) * xtail
@@ -513,9 +485,11 @@ def verify_bound(result: CbcResult, spec: WeightSpec, lambda_grid=None) -> Bound
     The bound holds for every lambda in (1/alpha, 1]; a violation at any
     grid point signals an implementation bug, not an unlucky input.
     Divergent (infinite) bound values are flagged but count as satisfied.
+    An empty grid, or a lambda outside (1/alpha, 1], raises ValueError.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(spec.alpha)
+    lambda_grid = default_lambda_grid(spec.alpha) if lambda_grid is None else list(lambda_grid)
+    if not lambda_grid:
+        raise ValueError("empty lambda grid")
     for lam in lambda_grid:
         if not 1.0 / spec.alpha < lam <= 1.0:
             raise ValueError(f"lambda {lam} outside (1/{spec.alpha}, 1]")

@@ -13,19 +13,21 @@ at once are one cyclic cross-correlation with c, in O(N log N).
 The correlation is shorter than b^m - 1.  lambda = g^T with
 T = (b^m-1)/(b-1) has order b-1, so it is a scalar of Z_b^*, and
 multiplying by a scalar keeps every degree: c has period T, and q and
-lambda q have the same column.  The same holds for the rows: omega(n q)
-and omega(lambda n q) agree, so a per-point quantity built from columns is
-constant on each scalar class {lambda n}.  Such quantities live in T + 1
-class slots: slot 0 is the point n = 0 and slot 1 + i the class of g^i
-(class_of maps a point to its slot).  A candidate's column in class slots,
-class_column(q), is the window c2[e : e + T] at e = exp(q) mod T, one
-slice.  multiply takes the scoring vector already summed over each class
-(T entries in exponent order), correlates it with c[:T] as a real FFT
-zero-padded to the smallest power of b that is at least 2T-1 (b^m for
-b >= 3, 2^(m+1) for b = 2), and returns one score per scalar class
-{lambda q}, T of them.  Exact rescoring of one candidate reads its column
-in natural point order as a contiguous window of c stored twice, so no
-index is reduced mod b^m-1.
+lambda q have the same column.  So do the rows: every per-point quantity
+of the CBC recursion, a product or sum of omega(n q_j), is constant on each
+scalar class {lambda n} and lives in T + 1 class slots, b-1 times less
+work and memory than one entry per point.  Slot 0 is the point n = 0, slot
+1 + i the class of g^i (class_of maps a point to its slot); slot_column(q)
+is omega(0), then class_column(q), the window c2[e : e + T] at
+e = exp(q) mod T.  The slot methods round as a point-by-point recursion
+would: point_mean sums all b^m points in natural order, exact_scores
+rescores against the vector spread to natural order (each column a window
+of c stored twice, no index reduced mod b^m-1), and class_scores folds
+each class's b-1 points as f + f + ... + f, left to right ((b-1) f rounds
+differently from b = 7 on).  multiply correlates the T folded entries
+with c[:T] as a real FFT zero-padded to the smallest power of b that is at
+least 2T-1 (b^m for b >= 3, 2^(m+1) for b = 2): one score per scalar
+class {lambda q}, T of them.
 
 omega itself depends only on the position of the first nonzero base-b
 digit of its argument (it is constant on each scale shell).  For a nonzero
@@ -187,6 +189,22 @@ class OmegaMatrix:
         e = self._exponent(q) % self.period
         return self._c2[e : e + self.period]
 
+    def slot_column(self, q) -> np.ndarray:
+        """omega values of the column for candidate q in all T + 1 class slots."""
+        col = np.empty(self.period + 1)
+        col[0] = omega_at_position(None, self.alpha, self.b)
+        col[1:] = self.class_column(q)
+        return col
+
+    def point_mean(self, x: np.ndarray) -> float:
+        """Mean over all b^m points of a vector x in class slots."""
+        return float(np.sum(x[self.class_of])) / self.n_points
+
+    def class_scores(self, weight: np.ndarray) -> np.ndarray:
+        """multiply of a scoring vector in class slots, folded class by class."""
+        f = weight[1:]
+        return self.multiply(sum([f] * (self.b - 2), f))
+
     def multiply(self, u: np.ndarray) -> np.ndarray:
         """The scores sum_n omega(y^(n)(q)) vec[n-1] of all scalar classes.
 
@@ -211,3 +229,8 @@ class OmegaMatrix:
     def score_exact(self, q, vec: np.ndarray) -> float:
         """Direct dot product of one candidate column with vec (tie rescoring)."""
         return float(np.dot(self.column(q), vec))
+
+    def exact_scores(self, encodings, weight: np.ndarray) -> np.ndarray:
+        """score_exact of each candidate against a vector in class slots."""
+        vec = weight[self.class_of[1:]]
+        return np.array([self.score_exact(int(e), vec) for e in encodings])

@@ -327,6 +327,15 @@ class TestVerifyBound:
         with pytest.raises(ValueError):
             verify_bound(res, spec, [0.5])
 
+    def test_empty_lambda_grid_is_refused(self):
+        # an empty grid checks nothing, so it must not pass
+        spec = spec_with()
+        res = fast_cbc(spec, 3, 1)
+        with pytest.raises(ValueError, match="empty"):
+            verify_bound(res, spec, [])
+        # a one-shot iterable is checked, not used up by the range check
+        assert [e["lambda"] for e in verify_bound(res, spec, iter([1.0])).entries] == [1.0]
+
     def test_default_grid_in_range(self):
         for alpha in (2, 3, 5):
             grid = default_lambda_grid(alpha)

@@ -350,6 +350,61 @@ class TestOmegaMatrix:
         assert got == KERNEL_TABLE_DIGESTS[b, m]
 
 
+def spread_to_points(om, x):
+    """A class-slot vector as one value per point, n = 0 .. b^m - 1, built
+    from the cosets g^(tT + i), t < b - 1, of each class, without class_of."""
+    natural = np.empty(om.n_points)
+    natural[0] = x[0]
+    natural[om.pow_enc] = np.tile(x[1:], om.b - 1)
+    return natural
+
+
+class TestSlotMethods:
+    """The class-slot methods against explicit natural-order constructions,
+    bit for bit.  b^m stays below 10,000, under the length from which
+    OpenBLAS splits one dot product across threads."""
+
+    @pytest.fixture(params=[(2, 13), (3, 8), (5, 5), (7, 4)], ids=lambda bm: f"{bm[0]}-{bm[1]}")
+    def case(self, request):
+        b, m = request.param
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        rng = np.random.default_rng(b * 100 + m)
+        weight = rng.random(om.period + 1) * 10.0 ** rng.integers(-3, 4, om.period + 1)
+        encs = np.unique(np.concatenate([[1, om.size], rng.integers(1, om.size + 1, 40)]))
+        return om, weight, encs
+
+    def test_slot_column_is_the_natural_column(self, case):
+        om, _, encs = case
+        omega0 = omega_at_position(None, om.alpha, om.b)
+        for q in encs:
+            col = om.slot_column(q)
+            assert col.shape == (om.period + 1,)
+            want = np.concatenate([[omega0], om.column(q)])
+            assert col[om.class_of].tobytes() == want.tobytes(), q
+            assert spread_to_points(om, col).tobytes() == want.tobytes(), q
+
+    def test_point_mean_sums_every_point_in_order(self, case):
+        om, weight, _ = case
+        want = float(np.sum(spread_to_points(om, weight))) / om.n_points
+        assert om.point_mean(weight) == want
+
+    def test_class_scores_multiply_the_coset_fold(self, case):
+        om, weight, _ = case
+        vec = spread_to_points(om, weight)[1:]  # entry n - 1 is point n
+        cosets = om.pow_enc.reshape(om.b - 1, om.period) - 1
+        fold = vec[cosets[0]]
+        for coset in cosets[1:]:
+            fold = fold + vec[coset]
+        assert om.class_scores(weight).tobytes() == om.multiply(fold).tobytes()
+
+    def test_exact_scores_score_the_spread_vector(self, case):
+        om, weight, encs = case
+        vec = spread_to_points(om, weight)[1:]
+        want = [om.score_exact(int(q), vec) for q in encs]
+        got = om.exact_scores(encs, weight)
+        assert got.shape == (len(encs),) and got.tolist() == want
+
+
 class TestExponentTableMemo:
     """exponent_tables keeps the last modulus's tables, keyed by value."""
 
