@@ -30,6 +30,11 @@ VECTORS = {
     "b2-repeats": (2, 10, 2, (1, 1, 627, 90, 300, 300, 627, 90, 1013, 5, 300, 300, 627, 90, 1, 1)),
     "b3-repeats": (3, 5, 2, (1, 97, 200, 31, 1, 97, 150, 242, 200, 31)),
     "b2-one-tuple": (2, 8, 3, (5, 77, 200) * 4),
+    # runs of equal neighbouring coordinates: a run of six in the middle,
+    # single columns, then a run of three through the last column, whose
+    # tuple (1, 1) reaches below 1e-4; a repr-path vector with runs
+    "b2-runs": (2, 10, 2, (1, 3) + (627, 90) * 6 + (300, 300, 1013, 5, 1, 3) + (1, 1) * 3),
+    "b3-runs": (3, 5, 2, (1, 97) + (200, 31) * 3 + (150, 242) * 2),
 }
 
 DIGESTS = {
@@ -49,6 +54,10 @@ DIGESTS = {
     ("b3-repeats", "digits"): "05bfbafc67cd8c22e845f5c41ee7d0f7f866da4adfddc588a034e802d016fafe",
     ("b2-one-tuple", "csv"): "5061d9cd09a45771f2e259bf7bd1fdf53bfe3de6bd557eb78294de52df724fde",
     ("b2-one-tuple", "digits"): "603dde2fcde247651749abd8df77852960a13c8abc5fcb13876b80c5e376649a",
+    ("b2-runs", "csv"): "b96359755748d7fa2246d4652d9011aeed2744ed616bfa116a55587883fd9909",
+    ("b2-runs", "digits"): "1e553398cb9dc636885d3414853db6680bfb0ba2d30f2dc44fde38c7b68e81c2",
+    ("b3-runs", "csv"): "39e2c9eaad52d597a4d22706aa695ab15fc9ca908d7a0cf43aeb9ae8179967c3",
+    ("b3-runs", "digits"): "0a93271dfd6c1e6e5edc61ce1b7488b6d166ae9c548a84fea894fe436feccc0c",
 }
 
 
