@@ -364,7 +364,8 @@ def cmd_points(cfg: RunConfig) -> int:
     if (cfg.format or "csv") == "digits":
         write_points_digits(out, gv)
     else:
-        write_points_csv(out, value_chunks(gv), distinct_coordinates(gv)[1])
+        first, columns = distinct_coordinates(gv)
+        write_points_csv(out, value_chunks(gv, first), columns)
     print(f"wrote {gv.n_points} points in {gv.s} dimensions -> {out}")
     return 0
 

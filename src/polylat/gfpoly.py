@@ -38,9 +38,15 @@ def _prime_factors(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _is_prime(b: int) -> bool:
+    return _prime_factors(b) == [b]
+
+
 def check_prime_base(b: int) -> int:
-    """b, checked to be a prime below 2^16 by trial division (bounded first)."""
-    if not isinstance(b, int) or not 2 <= b < 1 << 16 or _prime_factors(b) != [b]:
+    """b, checked to be a prime below 2^16 by trial division (bounded first,
+    and memoized: every GfPoly checks its base)."""
+    if not isinstance(b, int) or not 2 <= b < 1 << 16 or not _is_prime(b):
         raise ValueError(f"base must be a small prime, got {b!r}")
     return b
 
@@ -54,8 +60,8 @@ class GfPoly:
 
     def __post_init__(self):
         check_prime_base(self.b)
-        c = tuple(int(v) for v in self.coeffs)
-        if any(v < 0 or v >= self.b for v in c):
+        c = tuple(map(int, self.coeffs))
+        if c and not (min(c) >= 0 and max(c) < self.b):
             raise ValueError(f"coefficients must lie in 0..{self.b - 1}: {c}")
         while c and c[-1] == 0:
             c = c[:-1]
@@ -256,7 +262,7 @@ def poly_from_string(b: int, s: str) -> GfPoly:
     """Inverse of :func:`poly_to_string`."""
     if not s or not s.isdigit():
         raise ValueError(f"malformed polynomial digit string: {s!r}")
-    return GfPoly(b, tuple(int(ch) for ch in reversed(s)))
+    return GfPoly(b, tuple(map(int, reversed(s))))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ tables are the kernel's memo, not rebuilt after a construction on P.
 Coordinates whose tuples (q_(k alpha + 1), ..., q_(k alpha + alpha)) are
 equal are equal at every point (distinct_coordinates maps each coordinate
 to the first with its tuple).  The CSV export computes the distinct ones
-only (value_chunks), formats each of their values once and joins the rows
-through the map (write_points_csv), so a vector with repeated coordinates
-costs the formatting of its distinct ones.
+only (value_chunks) and formats each of their values once, as a compact
+record.  It builds each row from the runs of equal neighbouring columns of
+the map (write_points_csv): a run of n columns is its record and a ","
+repeated n times, joined at C level, so a long run costs about one record
+a row, not n values.
 
 The digits themselves form a digital net: the digits of classical
 coordinate j are C_j @ (digits of n) over Z_b, where the generating matrix
@@ -44,6 +46,8 @@ text.  Memory is bounded by the block, not by N.
 import json
 import mmap
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
+from operator import add, mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,13 +85,12 @@ class GeneratingVector:
             raise ValueError(
                 f"number of components {len(self.q)} not a multiple of alpha={self.alpha}"
             )
+        b, m = self.b, self.m
         for j, qj in enumerate(self.q):
-            if qj.b != self.b:
+            if qj.b != b:
                 raise ValueError(f"component {j + 1}: base mismatch")
-            if qj.is_zero() or qj.degree >= self.m:
-                raise ValueError(
-                    f"component {j + 1} must be nonzero of degree < {self.m}: {qj}"
-                )
+            if not 0 < len(qj.coeffs) <= m:
+                raise ValueError(f"component {j + 1} must be nonzero of degree < {m}: {qj}")
         object.__setattr__(self, "q", tuple(self.q))
 
     @property
@@ -363,17 +366,17 @@ def distinct_coordinates(gv: GeneratingVector):
     return np.unique(columns, return_index=True)[1], columns
 
 
-def value_chunks(gv: GeneratingVector):
-    """lattice_points' values of points 0 .. N - 1 in the u distinct
-    coordinates (first of distinct_coordinates), in order, as fresh (R, u)
-    blocks; R = b^r is the largest power of b with R u alpha m <= CHUNK_BYTES
-    (at least 1, at most N).  Point n reads the doubled tables at exponents
-    exp_of[n] + e, all in [-1, 2M - 2]: -1 is the origin's, whose row is set
-    to 0.
+def value_chunks(gv: GeneratingVector, coordinates=None):
+    """lattice_points' values of points 0 .. N - 1 in the u coordinates
+    listed (by default first of distinct_coordinates, the distinct ones), in
+    order, as fresh (R, u) blocks; R = b^r is the largest power of b with
+    R u alpha m <= CHUNK_BYTES (at least 1, at most N).  Point n reads the
+    doubled tables at exponents exp_of[n] + e, all in [-1, 2M - 2]: -1 is the
+    origin's, whose row is set to 0.
     """
     _, exp_of, e, Ks, tables = _numerator_tables(gv)
     tables = np.concatenate([tables, tables], axis=-1)
-    e = e[distinct_coordinates(gv)[0]]
+    e = e[distinct_coordinates(gv)[0] if coordinates is None else coordinates]
     R = gv.b ** _block_exponent(gv, len(e) * gv.alpha * gv.m, CHUNK_BYTES)
     for start in range(0, gv.n_points, R):
         at = exp_of[start : start + R, None] + e.T[:, None, :]  # (alpha, R, u)
@@ -453,23 +456,16 @@ class _DyadicFormatter:
     candidate nearest D, which never borrows.  Values below 1e-4 take the
     same digits in repr's exponent form.
 
-    A file row has s values, of which its u distinct ones are formatted:
-    value k of a row is distinct value columns[k] (distinct_coordinates).
-    slots turns up to slot_rows rows of distinct values into fixed-width
-    records "0.ddd" with the column where each one's separator goes; pack
-    turns up to pack_rows of those rows into CSV lines, gathering the
-    records through columns, or in place when columns is the identity.
-    The scratch arrays live in one mapping sized for the largest call seen
-    and reused.
+    slots formats up to CSV_CHUNK_VALUES values, rows of u, as fixed-width
+    records "0.ddd" with the column where each one's separator goes.  pack
+    turns rows of them into CSV lines in place, for a file whose columns are
+    the u block columns in order; records turns them into compact bytes
+    records for the run assembly of write_points_csv.  The scratch arrays
+    live in one mapping sized for the largest call seen and reused.
     """
 
-    def __init__(self, columns: np.ndarray):
-        self.columns = columns
-        self.s = len(columns)
-        self.identity = np.array_equal(columns, np.arange(self.s))
-        self.u = int(columns.max()) + 1
-        self.slot_rows = max(1, CSV_CHUNK_VALUES // self.u)
-        self.pack_rows = max(1, CSV_CHUNK_VALUES // self.s)
+    def __init__(self, u: int):
+        self.u = u
         self.n = 0
         self.gap_tables = {}
 
@@ -488,10 +484,6 @@ class _DyadicFormatter:
             ("keep", (35 * n,), bool),
             ("out", (35 * n,), np.uint8),
             ("seps", (n,), np.uint8),
-            ("base", (n,), np.int64),  # slot of each packed value, from row 0
-            ("index", (n,), np.int64),
-            ("gathered", (35 * n,), np.uint8),
-            ("gathered_end", (n,), np.int64),
             ("digit_table", (10, 10, 10, 10, 4), np.uint8),
         ]
         sizes = [-(-np.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for _, shape, dtype in fields]
@@ -506,8 +498,7 @@ class _DyadicFormatter:
             start += size
         self.n = n
         self.seps[:] = ord(",")
-        self.seps[self.s - 1 :: self.s] = ord("\n")
-        self.base[:] = np.arange(n) // self.s * self.u + np.resize(self.columns, n)
+        self.seps[self.u - 1 :: self.u] = ord("\n")
         # "0000" .. "9999", one uint32 each, to write digits four at a time
         digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
         for place in range(4):
@@ -529,9 +520,9 @@ class _DyadicFormatter:
         return self.gap_tables[W]
 
     def slots(self, rows: np.ndarray) -> bool:
-        """Format rows, at most slot_rows of u distinct values, as the records
-        pack reads; False, with nothing formatted, unless every value is
-        k/2^L with 0 <= k < 2^L, L <= 32."""
+        """Format rows of u values, at most CSV_CHUNK_VALUES of them, as the
+        records pack and records read; False, with nothing formatted, unless
+        every value is k/2^L with 0 <= k < 2^L, L <= 32."""
         v = rows.reshape(-1)
         n = v.size
         if n == 0:
@@ -539,9 +530,8 @@ class _DyadicFormatter:
         lo = v.min()
         if not (lo >= 0.0 and v.max() < 1.0):  # NaN fails too
             return False
-        size = max(n, min(len(rows), self.pack_rows) * self.s)
-        if size > self.n:
-            self._allocate(size)
+        if n > self.n:
+            self._allocate(n)
         f, k, flag = self.f[:n], self.k[:n], self.flag[:n]
         np.multiply(v, 2.0**32, out=f)
         np.copyto(k, f, casting="unsafe")
@@ -648,25 +638,72 @@ class _DyadicFormatter:
         self.width, self.slot_text, self.slot_end = width, text, end
         return True
 
+    def _keep(self, text: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """keep[i, j] = j < count[i]: the first count[i] bytes of record i."""
+        width = text.shape[1]
+        keep = self.keep[: text.size].reshape(text.shape)
+        return np.take(np.arange(width) < np.arange(width + 1)[:, None], count, axis=0, out=keep)
+
     def pack(self, start: int, stop: int) -> np.ndarray:
         """The bytes of the CSV lines of rows start .. stop - 1 of the last
-        slots call, at most pack_rows of them, as a uint8 view of the scratch
-        space valid until the next call."""
-        s, width = self.s, self.width
-        n = (stop - start) * s
-        if self.identity:  # the records are the values in order
-            text = self.slot_text[start * s : stop * s]
-            end = self.slot_end[start * s : stop * s]
-        else:
-            at = np.add(self.base[:n], start * self.u, out=self.index[:n])
-            text = self.gathered[: n * width].reshape(n, width)
-            np.take(self.slot_text, at, axis=0, out=text, mode="clip")
-            end = np.take(self.slot_end, at, out=self.gathered_end[:n], mode="clip")
+        slots call, each row's u records in order, as a uint8 view of the
+        scratch space valid until the next call."""
+        u = self.u
+        n = (stop - start) * u
+        text = self.slot_text[start * u : stop * u]
+        end = self.slot_end[start * u : stop * u]
         text[np.arange(n), end] = self.seps[:n]
-        keep = self.keep[: n * width].reshape(n, width)
-        np.take(np.arange(width) <= np.arange(width)[:, None], end, axis=0, out=keep)
         out = self.out[: int(end.sum()) + n]
-        return np.compress(keep.reshape(-1), text.reshape(-1), out=out)
+        return np.compress(self._keep(text, end + 1).reshape(-1), text.reshape(-1), out=out)
+
+    def records(self) -> list:
+        """The bytes of every value of the last slots call, row by row: the
+        bytes after each record are zeroed, so the text viewed as S{width}
+        strings reads as the records (numpy drops trailing NULs)."""
+        text = self.slot_text
+        text *= self._keep(text, self.slot_end)
+        return text.view(f"S{self.width}").ravel().tolist()
+
+
+def _column_map(columns, u: int) -> np.ndarray:
+    """columns as an index array into the u block columns (None: each once)."""
+    if columns is None:
+        return np.arange(u)
+    columns = np.asarray(columns)
+    if columns.ndim != 1 or not len(columns) or columns.dtype.kind not in "iu":
+        raise ValueError(f"column map must be a nonempty list of indices, got {columns.tolist()!r}")
+    outside = columns[(columns < 0) | (columns >= u)]
+    if outside.size:
+        raise ValueError(f"column map indices {outside.tolist()} lie outside [0, {u}): "
+                         f"the blocks have {u} columns")
+    return columns
+
+
+def _write_runs(fh, records, columns, u: int, rows_per_write: int):
+    """Write the rows whose values are records, u a row (all bytes, or all
+    repr's str), through columns.  A run of n > 1 equal neighbouring
+    columns is its record and a "," repeated n times, a single column its
+    record and a "," (the last column's a "\\n"); each row is joined from
+    these segments at C level and goes to the file buffer.  The segments
+    are made for rows_per_write rows at a time."""
+    runs = [(k, len(list(run))) for k, run in groupby(columns.tolist())]
+    last, tail = runs.pop()
+    if tail > 1:
+        runs.append((last, tail - 1))
+    comma, newline = (b",", b"\n") if isinstance(records[0], bytes) else (",", "\n")
+    cols = {k: records[k::u] for k in set(columns.tolist())}
+    for lo in range(0, len(cols[last]), rows_per_write):
+        hi = lo + rows_per_write
+        segments = []
+        for k, n in runs:
+            col = cols[k][lo:hi]
+            if n == 1:
+                segments += [col, repeat(comma)]
+            else:
+                segments.append(map(mul, map(add, col, repeat(comma)), repeat(n)))
+        segments += [cols[last][lo:hi], repeat(newline)]
+        lines = map(comma[:0].join, zip(*segments))
+        fh.writelines(lines if newline == b"\n" else map(str.encode, lines))
 
 
 def write_points_csv(path, blocks, columns=None):
@@ -676,33 +713,48 @@ def write_points_csv(path, blocks, columns=None):
     [values] for one array).  Column k of the file is column columns[k] of
     the blocks, as value_chunks' blocks of distinct coordinates map through
     distinct_coordinates' columns; by default (None) every column once, in
-    order.  Each block value is formatted once: when all of up to
-    CSV_CHUNK_VALUES of them are k/2^L with L <= 32 (base-2 points up to
-    alpha*m = 32), by exact integer arithmetic (_DyadicFormatter), else by
-    repr, and the rows are joined through columns, at most CSV_CHUNK_VALUES
-    file values a write; the bytes are the same.  The file is written in
-    binary, so lines end in "\n" on every platform.
+    order.  An index outside [0, u) is a ValueError.
+
+    Each block value is formatted once: when all of up to CSV_CHUNK_VALUES
+    of them are k/2^L with L <= 32 (base-2 points up to alpha*m = 32), by
+    exact integer arithmetic (_DyadicFormatter), else by repr; the bytes are
+    the same.  When the map is the identity, the dyadic records become the
+    lines in place (_DyadicFormatter.pack).  Otherwise the values become
+    compact records (_DyadicFormatter.records, or repr's strings) and each
+    row is built from the runs of equal neighbouring columns of the map
+    (_write_runs), so a run of n columns costs one record repeated n times,
+    not n values gathered and compressed.  At most CSV_CHUNK_VALUES values
+    are formatted, and rows of at most CSV_CHUNK_VALUES file values made, at
+    a time.  The file is written in binary, so lines end in "\n" on every
+    platform.
     """
-    with open(path, "wb") as fh:
+    # Rows go to the file buffer one by one, which holds about a write of
+    # CSV_CHUNK_VALUES values.  Joining a write's rows into one bytes object
+    # first left a fresh heap block a write, and raised the peak RSS of a
+    # construct-then-export loop (spod-heavy, 20 iterations: up to 74 MB
+    # against 67 MB).
+    with open(path, "wb", buffering=32 * CSV_CHUNK_VALUES) as fh:
         for i, values in enumerate(blocks):
             if i == 0:
-                columns = np.arange(values.shape[1]) if columns is None else np.asarray(columns)
-                fh.write(_header(len(columns)).encode())
-                dyadic = _DyadicFormatter(columns)
-            for start in range(0, len(values), dyadic.slot_rows):
-                rows = values[start : start + dyadic.slot_rows]
-                if dyadic.slots(rows):
-                    strings = None
+                u = values.shape[1]
+                columns = _column_map(columns, u)
+                s = len(columns)
+                identity = np.array_equal(columns, np.arange(u))
+                rows_per_slot = max(1, CSV_CHUNK_VALUES // u)
+                rows_per_write = max(1, CSV_CHUNK_VALUES // s)
+                fh.write(_header(s).encode())
+                dyadic = _DyadicFormatter(u)
+            for start in range(0, len(values), rows_per_slot):
+                rows = values[start : start + rows_per_slot]
+                if not dyadic.slots(rows):
+                    records = list(map(repr, rows.reshape(-1).tolist()))
+                elif identity:
+                    for lo in range(0, len(rows), rows_per_write):
+                        fh.write(dyadic.pack(lo, min(lo + rows_per_write, len(rows))))
+                    continue
                 else:
-                    strings = np.array(list(map(repr, rows.reshape(-1).tolist())), dtype=object)
-                    strings = strings.reshape(rows.shape)
-                for lo in range(0, len(rows), dyadic.pack_rows):
-                    hi = min(lo + dyadic.pack_rows, len(rows))
-                    if strings is None:
-                        fh.write(dyadic.pack(lo, hi))
-                    else:
-                        lines = strings[lo:hi, columns].tolist()
-                        fh.write("".join(",".join(line) + "\n" for line in lines).encode())
+                    records = dyadic.records()
+                _write_runs(fh, records, columns, u, rows_per_write)
 
 
 def write_points_digits(path, gv: GeneratingVector):

@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from polylat.gfpoly import (
@@ -51,6 +52,24 @@ class TestPolyBasics:
     def test_coefficients_must_be_reduced(self):
         with pytest.raises(ValueError):
             GfPoly(2, (2,))
+
+    def test_checks_hold_on_every_call(self):
+        # the base's primality is memoized; every other check runs each time
+        for _ in range(2):
+            assert check_prime_base(5) == 5
+            for bad in (4, 5.0, True, "5"):
+                with pytest.raises(ValueError, match="small prime"):
+                    check_prime_base(bad)
+            for coeffs in ((1, 3), (-1, 1), (0, 2, 9)):
+                with pytest.raises(ValueError, match=r"coefficients must lie in 0\.\.2"):
+                    GfPoly(3, coeffs)
+        assert GfPoly(3, (np.int64(2), 1.0, np.uint8(0))).coeffs == (2, 1)
+        assert poly_from_string(3, "0120") == GfPoly(3, (0, 2, 1))
+        for bad in ("", "1a", "-1", "1 0"):
+            with pytest.raises(ValueError, match="malformed polynomial digit string"):
+                poly_from_string(2, bad)
+        with pytest.raises(ValueError, match=r"coefficients must lie in 0\.\.1"):
+            poly_from_string(2, "102")
 
     def test_int_encoding_roundtrip(self):
         for b in (2, 3, 5):

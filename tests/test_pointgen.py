@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -329,10 +330,11 @@ class TestDyadicFormatter:
 
     @staticmethod
     def formatted(values):
-        fmt = pointgen._DyadicFormatter(np.arange(values.shape[1]))
+        fmt = pointgen._DyadicFormatter(values.shape[1])
         out = []
-        for start in range(0, len(values), fmt.slot_rows):
-            rows = values[start : start + fmt.slot_rows]
+        step = max(1, pointgen.CSV_CHUNK_VALUES // values.shape[1])
+        for start in range(0, len(values), step):
+            rows = values[start : start + step]
             assert fmt.slots(rows)
             out.append(fmt.pack(0, len(rows)).tobytes())
         return b"".join(out)
@@ -375,7 +377,7 @@ class TestDyadicFormatter:
         long = rng.integers(0, 2**34, size=(6, 4)) / 2.0**34
         long[0, 0] = 1 / 2**34  # L = 34 > 32
         for values in (mixed, long, -mixed, mixed + 1):
-            assert not pointgen._DyadicFormatter(np.arange(4)).slots(values)
+            assert not pointgen._DyadicFormatter(4).slots(values)
             write_points_csv(tmp_path / "p.csv", [values])
             assert (tmp_path / "p.csv").read_bytes() == b"y1,y2,y3,y4\n" + _repr_bytes(values)
 
@@ -413,24 +415,35 @@ class TestColumnMap:
         s = int(rng.choice([1, 3, 7, 40]))
         columns = rng.integers(0, rng.integers(1, s + 1), size=s)
         _, columns = np.unique(columns, return_inverse=True)  # every slot used
-        u = columns.max() + 1
-        rows = int(rng.integers(50, 400))  # not a multiple of CSV_CHUNK_VALUES // s
-        L = int(rng.choice([10, 24, 32]))
-        values = rng.integers(0, 2**L, size=(rows, u)) / 2.0**L
-        values[0] = 0.0
-        values[1, columns[-1]] = 2.0**-24  # the narrow-gap values, in a column
-        values[2, columns[-1]] = 2.0**-25  # that repeats when u < s
-        values[3, 0] = 3 * 2.0**-30  # exponent form
-        cut = int(rng.integers(1, rows))
-        blocks = [values[:cut], values[cut:cut], values[cut:]]
-        repr_rows = rng.random((5, u))  # a block on the repr path
-        for i, block in enumerate([values, repr_rows]):
-            write_points_csv(tmp_path / "got.csv", blocks if i == 0 else [block], columns)
-            write_points_csv(tmp_path / "want.csv", [block[:, columns]])
-            want = (tmp_path / "want.csv").read_bytes()
-            assert (tmp_path / "got.csv").read_bytes() == want
-            assert want == ",".join(f"y{k + 1}" for k in range(s)).encode() + b"\n" + _repr_bytes(
-                block[:, columns])
+        _check_csv_through(columns, columns.max() + 1, rng, tmp_path)
+
+    @pytest.mark.parametrize("seed,columns,u", [
+        (10, [0, 1, 2] + [3] * 196 + [1], 4),  # spod-heavy's shape, a run inside
+        (11, [0, 1, 2, 0] + [3] * 196, 4),  # a 196-long run ends the row
+        (12, [0, 0, 0, 1, 2, 2, 3, 1, 1, 1, 4, 0, 0], 5),  # single columns between runs
+        (13, [0] * 9, 1),
+        (14, [0], 1),
+        (15, [2, 2, 0, 0, 2, 0], 4),  # block columns 1 and 3 unused
+        (16, [3, 1], 5),
+    ], ids=["run-196-inside", "run-196-last", "runs-and-singles", "u1", "u1-s1",
+            "unused-columns", "unused-columns-no-run"])
+    def test_csv_through_run_heavy_columns(self, seed, columns, u, tmp_path, monkeypatch):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(pointgen, "CSV_CHUNK_VALUES", int(rng.choice([64, 100, 4096])))
+        _check_csv_through(np.array(columns), u, rng, tmp_path)
+
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "repr"])
+    def test_a_repeated_column_reads_the_block_width(self, dyadic, tmp_path):
+        block = np.array([[0.5, 0.25], [0.125, 0.375], [0.0625, 0.75]]) + (0 if dyadic else 1e-9)
+        write_points_csv(tmp_path / "p.csv", [block], columns=[0, 0])
+        assert (tmp_path / "p.csv").read_bytes() == b"y1,y2\n" + _repr_bytes(block[:, [0, 0]])
+
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "repr"])
+    @pytest.mark.parametrize("columns,bad", [([0, 5], "[5]"), ([-1, 0], "[-1]"), ([1, 2, -3], "[2, -3]")])
+    def test_indices_outside_the_blocks_raise(self, dyadic, columns, bad, tmp_path):
+        block = np.array([[0.5, 0.25], [0.125, 0.375]]) + (0 if dyadic else 1e-9)
+        with pytest.raises(ValueError, match=rf"indices {re.escape(bad)} lie outside \[0, 2\)"):
+            write_points_csv(tmp_path / "p.csv", [block], columns=columns)
 
     @pytest.mark.parametrize("columns", [[2, 0, 1], [1, 0], [0, 2, 1, 3], [4, 3, 2, 1, 0]])
     def test_csv_through_a_permutation(self, columns, tmp_path):
@@ -444,6 +457,29 @@ class TestColumnMap:
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         write_points_csv(tmp_path / "row.csv", [np.array([[0.5, 0.25, 0.125]])], [2, 0, 1])
         assert (tmp_path / "row.csv").read_bytes() == b"y1,y2,y3\n0.125,0.5,0.25\n"
+
+
+def _check_csv_through(columns, u, rng, tmp_path):
+    """The CSV written from (rows, u) blocks through columns equals the one
+    written from the expanded array, and repr of it, on both paths."""
+    s = len(columns)
+    rows = int(rng.integers(50, 400))  # not a multiple of CSV_CHUNK_VALUES // s
+    L = int(rng.choice([10, 24, 32]))
+    values = rng.integers(0, 2**L, size=(rows, u)) / 2.0**L
+    values[0] = 0.0
+    values[1, columns[-1]] = 2.0**-24  # the narrow-gap values, in a column
+    values[2, columns[-1]] = 2.0**-25  # that repeats when u < s
+    values[3, 0] = 3 * 2.0**-30  # exponent form
+    cut = int(rng.integers(1, rows))
+    blocks = [values[:cut], values[cut:cut], values[cut:]]
+    repr_rows = rng.random((5, u))  # a block on the repr path
+    for i, block in enumerate([values, repr_rows]):
+        write_points_csv(tmp_path / "got.csv", blocks if i == 0 else [block], columns)
+        write_points_csv(tmp_path / "want.csv", [block[:, columns]])
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want == ",".join(f"y{k + 1}" for k in range(s)).encode() + b"\n" + _repr_bytes(
+            block[:, columns])
 
 
 def _random_specs(count, seed):
@@ -725,6 +761,19 @@ class TestChunkedMemory:
         assert len(distinct_coordinates(gv)[0]) == 6
         _check_csv_scratch(gv, tmp_path, capsys, monkeypatch)
 
+    def test_cli_csv_scratch_with_a_long_run(self, tmp_path, capsys, monkeypatch):
+        # spod-heavy's map: 4 distinct tuples, one of them in a run of 196
+        # columns; each write repeats its records, within the same bounds
+        rng = random.Random(8)
+        pairs = [(rng.randrange(1, 2**12), rng.randrange(1, 2**12)) for _ in range(4)]
+        columns = [0, 1, 2] + [3] * 196 + [1]
+        gv = make_gv(2, 12, [q for k in columns for q in pairs[k]], alpha=2)
+        assert distinct_coordinates(gv)[1].tolist() == columns
+        peak = _check_csv_scratch(gv, tmp_path, capsys, monkeypatch)
+        # the run segments are made per write: made per formatted chunk of
+        # 1,024 rows they would hold about 4 MB of repeated records
+        assert peak <= 600 * pointgen.CSV_CHUNK_VALUES
+
 
 def _check_csv_scratch(gv, tmp_path, capsys, monkeypatch):
     digits = next(digit_chunks(gv)).nbytes
@@ -755,3 +804,4 @@ def _check_csv_scratch(gv, tmp_path, capsys, monkeypatch):
     bound = 4 * digits + 3 * floats + 600 * pointgen.CSV_CHUNK_VALUES + SLACK
     assert bound < 600 * floats // 8
     assert peak <= bound
+    return peak
