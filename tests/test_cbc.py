@@ -574,7 +574,9 @@ def capped_cases(n_cases, seed):
 class TestOrderCap:
     """The SPOD sweep's order cap changes no bit of any vector or criterion."""
 
-    @pytest.mark.parametrize("b,m,alpha,J,s,beta", capped_cases(6, seed=13))
+    # (2, 9, 2, 0, 150) takes a new column at component 136, after its cap K = 120
+    @pytest.mark.parametrize("b,m,alpha,J,s,beta", capped_cases(6, seed=13) + [
+        (2, 9, 2, 0, 150, BETA)])
     def test_capped_matches_uncapped(self, monkeypatch, b, m, alpha, J, s, beta):
         spec = WeightSpec(alpha=alpha, b=b, J=J, beta=beta)
         capped = fast_cbc(spec, m, s)
