@@ -50,8 +50,20 @@ regime (the derivative of the assembled criterion with respect to the new
 factor; scoring the full assembled vector instead would add a spurious
 candidate-dependent term and break agreement with the direct criterion).
 
-Y, V, S1, U, X, W and S2 are stored in the OmegaMatrix's T + 1 class slots
-(polylat.kernel), which also scores, rescores and averages them.
+Y, V, S1, S2 and the scoring vector are stored in the OmegaMatrix's T + 1
+class slots (polylat.kernel), which also scores, rescores and averages
+them.  The SPOD sweep's rows (U, X, W, S2_prev, and the cap's A and xtail)
+hold fewer entries.  They depend on the SPOD blocks' V alone, and
+omega(n q) on deg(n q mod P) alone, so class slots whose degrees agree on
+every distinct column chosen in the SPOD regime so far hold bit-identical
+rows: the sweep keeps one entry per such state class.  W and S2_prev are
+gathered to slots once per block and V - 1 is read back at a slot of each
+class; a block that chose a new column refines the partition in O(T),
+appending the split-off classes and copying only their entries.  Gathers
+copy values and the sweep is elementwise, so the cap's per-point max and
+all see the same set of values, and every vector and criterion is bit for
+bit that of a sweep over slots.  Repeated components keep the classes far
+fewer than T + 1, and the sweep's cost scales with their number.
 
 The oracle for fast_cbc is polylat.oracle.slow_cbc, the same greedy rule
 driven by the literal subset-sum criterion (polylat.oracle.direct_criterion).
@@ -81,7 +93,7 @@ class CostLog:
     spod_assembly_units / spod_update_units: per SPOD block, counted as
     length-N vector operations (the X/W assembly is the alpha^2(s-J)N
     part of the cost model, the U update the alpha(s-J)N part), although
-    each row the sweep touches holds only the T + 1 class slots.  Block
+    each row the sweep touches holds only one entry per state class.  Block
     s's U update is applied during block s+1's sweep and recorded then;
     the final block's update is never read, so it is skipped and has no
     spod_update_units entry.  Both count only the rows actually swept, so
@@ -96,6 +108,9 @@ class CostLog:
     spod_rerun: True when a capped block failed its certificate and the
     SPOD regime ran again without a cap (spod_order_cap then names the cap
     that failed; the unit counts are those of the rerun).
+    spod_classes: the number of state classes the final block's sweep ran
+    on, the distinct degree tuples of the columns chosen in the SPOD
+    regime's earlier blocks (at most T + 1), or None when no block was SPOD.
     """
 
     n_points: int = 0
@@ -105,6 +120,7 @@ class CostLog:
     spod_update_units: dict = field(default_factory=dict)
     spod_order_cap: int | None = None
     spod_rerun: bool = False
+    spod_classes: int | None = None
 
 
 @dataclass
@@ -153,6 +169,7 @@ class CbcResult:
             "timings": dict(self.timings),
             "spod_order_cap": self.cost.spod_order_cap,
             "spod_rerun": self.cost.spod_rerun,
+            "spod_classes": self.cost.spod_classes,
             "rescored": list(self.cost.rescored),
             "distinct_coordinates": self.distinct_coordinates,
             "repeated_coordinates": self.repeated_coordinates,
@@ -374,11 +391,69 @@ def _certify_cap(U_rows, K, A, gval, L, W, S2_prev) -> np.ndarray:
     return xtail
 
 
+class _StateClasses:
+    """The state classes the SPOD sweep runs on: a partition of the class slots.
+
+    The sweep's rows are elementwise functions of omega at each column
+    chosen in the SPOD regime, and omega(g^i q) depends only on
+    deg(g^i q mod P).  So class slots whose degrees agree on every column
+    refined by hold bit-identical U, X, W, S2_prev, A and xtail.  of[slot]
+    is the class of a class slot, rep[c] a slot of class c; the partition
+    starts as one class.
+    """
+
+    def __init__(self, matrix: OmegaMatrix):
+        self.matrix = matrix
+        self.of = np.zeros(matrix.period + 1, dtype=np.intp)
+        self.rep = np.zeros(1, dtype=np.intp)
+        self.refined = set()
+
+    def __len__(self) -> int:
+        return len(self.rep)
+
+    def refine(self, encodings) -> np.ndarray:
+        """Split the classes by the columns of encodings not refined by yet.
+
+        Each class keeps its id for the part that holds its rep slot; the
+        other parts are appended as new classes.  Returns, for each appended
+        class in id order, the class it was split from, so only its entries
+        need copying.  O(T + n m) per new column, with no sort: a table over
+        the (class, degree) pairs numbers the parts.
+        """
+        n0, n_codes = len(self), self.matrix.m + 1
+        source = np.arange(n0)
+        for enc in encodings:
+            if enc in self.refined:
+                continue
+            self.refined.add(enc)
+            n = len(self)
+            key = self.of * n_codes
+            key[0] += n_codes - 1  # slot 0, the point n = 0, has no degree
+            key[1:] += self.matrix.class_degrees(enc)
+            kept = key[self.rep]
+            present = np.zeros(n * n_codes, dtype=bool)
+            present[key] = True
+            present[kept] = False
+            split = np.flatnonzero(present)
+            if not split.size:
+                continue
+            ids = np.empty(n * n_codes, dtype=np.intp)
+            ids[kept] = np.arange(n)
+            ids[split] = np.arange(n, n + split.size)
+            self.of = ids[key]
+            self.rep = np.empty(n + split.size, dtype=np.intp)
+            self.rep[self.of] = np.arange(self.of.size)
+            source = np.concatenate([source, source[split // n_codes]])
+        return source[n0:]
+
+
 def _spod_regime(spec, s_max, S1, select, matrix, cost, cap_margin) -> list:
     """Blocks J+1..s_max of the search; returns their per-step criteria.
 
-    S1 and every per-point row hold one entry per class slot of matrix, and
-    the unit counts stay per point.
+    S1 and the per-step quantities (V, the scoring vector, S2) hold one
+    entry per class slot of matrix; the sweep's rows (U, X, W, S2_prev, A,
+    xtail) hold one per state class, in the leading entries of buffers
+    sized for T + 1 slots.  The unit counts stay per point.
     With cap_margin > 0 the sweep may stop at an order cap K; a capped block
     whose certificate fails raises _CapTripped, and the caller reruns the
     regime with cap_margin 0.
@@ -390,11 +465,9 @@ def _spod_regime(spec, s_max, S1, select, matrix, cost, cap_margin) -> list:
     U = np.zeros((L_max + 1, slots))
     U[0] = 1.0
     X = np.zeros((L_max + 1, slots))
-    U_rows, X_rows = list(U), list(X)
-    W = np.empty(slots)
-    S2_prev = np.zeros(slots)
-    vm1 = np.empty(slots)
-    row = np.empty(slots)
+    W, S2_prev, vm1, row = np.empty(slots), np.zeros(slots), np.empty(slots), np.empty(slots)
+    A, xtail = np.zeros(slots), np.empty(slots)
+    classes = _StateClasses(matrix)
     # gtab[s - J - 1] holds gamma_s(1..alpha), perm[ell][nu - 1] = perm(ell, nu)
     gtab = [[order_weight(s, nu, spec) for nu in range(1, alpha + 1)]
             for s in range(J + 1, s_max + 1)]
@@ -402,54 +475,73 @@ def _spod_regime(spec, s_max, S1, select, matrix, cost, cap_margin) -> list:
                      for ell in range(L_max + 1)], dtype=float)
     e_steps = []
     L_prev = 0
-    K = A = None  # once set, rows above K are never written; A bounds their U mass
+    n = None
+    K = None  # once set, rows above K are never written; A bounds their U mass
+    capped = False  # from the block after the cap on, xtail holds each block's bound
     predict_at = J + 2  # block s = J + 1 has no S2_prev yet
     for s in range(J + 1, s_max + 1):
+        if n != len(classes):
+            n = len(classes)
+            U_rows, X_rows = [r[:n] for r in U], [r[:n] for r in X]
+            Wc, S2c, vm1c, rowc = W[:n], S2_prev[:n], vm1[:n], row[:n]
+        cost.spod_classes = n
         L = alpha * (s - J)
         top = L if K is None else K
         # coef[ell][nu - 1] = gamma_s(nu) perm(ell, nu), the weight of U[ell - nu] in X[ell]
         coef = (np.array(gtab[s - J - 1]) * perm[: top + 1]).tolist()
         if L_prev:
-            S2_prev.fill(0.0)
+            S2c.fill(0.0)
             cost.spod_update_units[s - 1] = min(L_prev, top) * N
-        W.fill(0.0)
+        Wc.fill(0.0)
         # one sweep: finish U[ell] of block s-1, then overwrite X[ell] from
         # finished rows; sums run in ascending ell as separate passes would
         for ell in range(1, top + 1):
             Xr = X_rows[ell]
             if ell <= L_prev:
                 Ur = U_rows[ell]
-                np.multiply(vm1, Xr, out=row)
-                np.add(Ur, row, out=Ur)
-                np.add(S2_prev, Ur, out=S2_prev)
+                np.multiply(vm1c, Xr, out=rowc)
+                np.add(Ur, rowc, out=Ur)
+                np.add(S2c, Ur, out=S2c)
             np.multiply(U_rows[ell - 1], coef[ell][0], out=Xr)
             for nu in range(2, min(alpha, ell) + 1):
-                np.multiply(U_rows[ell - nu], coef[ell][nu - 1], out=row)
-                np.add(Xr, row, out=Xr)
-            np.add(W, Xr, out=W)
+                np.multiply(U_rows[ell - nu], coef[ell][nu - 1], out=rowc)
+                np.add(Xr, rowc, out=Xr)
+            np.add(Wc, Xr, out=Wc)
         a = min(alpha, top)  # sum of min(alpha, ell) over ell = 1..top
         cost.spod_assembly_units[s] = N * (a * (a + 1) // 2 + alpha * (top - a))
-        xtail = None
         if K is not None:
             gval = dict(enumerate(gtab[s - J - 1], start=1))
-            xtail = _certify_cap(U_rows, K, A, gval, L, W, S2_prev)
+            xtail[:n] = _certify_cap(U_rows, K, A[:n], gval, L, Wc, S2c)
+            capped = True
         elif cap_margin and predict_at <= s < s_max:
-            excess = _tail_excess(
-                spec, s, gtab[s - J - 1 :], U_rows, L_prev, W, S2_prev, cap_margin
-            )
+            excess = _tail_excess(spec, s, gtab[s - J - 1 :], U_rows, L_prev, Wc, S2c, cap_margin)
             if excess < 0:
-                K, A = L, np.zeros(slots)  # block s swept every row: no tail yet
+                K = L  # block s swept every row: no tail yet, A stays 0
                 cost.spod_order_cap = K
             else:
                 predict_at = s + 1 + int(min(excess, 120.0) // _CAP_FALL)
+        W_slots, S2_slots = Wc[classes.of], S2c[classes.of]
         V = np.ones(slots)
+        block = []
         for _t in range(alpha):
-            V = V * (1.0 + matrix.slot_column(select(V * W * one_plus_S1, "SPOD")))
-            S2 = S2_prev + (V - 1.0) * W
+            block.append(select(V * W_slots * one_plus_S1, "SPOD"))
+            V = V * (1.0 + matrix.slot_column(block[-1]))
+            S2 = S2_slots + (V - 1.0) * W_slots
             e_steps.append(matrix.point_mean(S1 + S2 * one_plus_S1))
-        np.subtract(V, 1.0, out=vm1)
-        if xtail is not None:
-            A += np.abs(vm1) * xtail
+        if s == s_max:
+            break
+        source = classes.refine(block)
+        if source.size:
+            # the appended classes take their source's finished rows: U up to
+            # min(L_prev, top) (rows above are still 0) and X up to top
+            live = U[1 : min(L_prev, top) + 1], X[1 : top + 1], (A, xtail)
+            for rows in live:
+                for r in rows:
+                    r[n : n + source.size] = r[source]
+        n_new = len(classes)
+        np.subtract(V[classes.rep], 1.0, out=vm1[:n_new])
+        if capped:
+            A[:n_new] += np.abs(vm1[:n_new]) * xtail[:n_new]
         L_prev = L
     return e_steps
 

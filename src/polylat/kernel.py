@@ -120,7 +120,7 @@ class OmegaMatrix:
     (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
     exp_of[0] = -1, since zero has no discrete log), and the transform of
     one period c[:T], T = (b^m-1)/(b-1), padded to fft_len, used for
-    scoring.  class_enc[i] is the smallest encoding of the scalar class of
+    scoring.  The degree of each g^r, r < T, is kept too, doubled as c is.  class_enc[i] is the smallest encoding of the scalar class of
     g^i, its monic member; class_of[n] is the class slot of point n (0 for
     n = 0, 1 + exp(n) mod T otherwise).  Immutable after construction;
     multiplies are pure.  pow_enc and exp_of are exponent_tables' read-only
@@ -154,6 +154,7 @@ class OmegaMatrix:
         # g^T is a scalar, so c has period T; zero padding one period to a
         # power of b that is >= 2T-1 keeps its correlation linear
         self.period = M // (b - 1)
+        self._deg2 = np.tile(deg[: self.period].astype(np.uint8), 2)
         self.fft_len = 1
         while self.fft_len < 2 * self.period - 1:
             self.fft_len *= b
@@ -188,6 +189,17 @@ class OmegaMatrix:
         """
         e = self._exponent(q) % self.period
         return self._c2[e : e + self.period]
+
+    def class_degrees(self, q) -> np.ndarray:
+        """deg(g^i q mod P) for each class slot 1 + i, as uint8.
+
+        The window of the doubled degree codes at e = exp q mod T, a view, as
+        class_column(q) is of c2.  class_column(q) is a function of it, so
+        class slots whose degrees agree on every chosen column hold the same
+        product of column entries.
+        """
+        e = self._exponent(q) % self.period
+        return self._deg2[e : e + self.period]
 
     def slot_column(self, q) -> np.ndarray:
         """omega values of the column for candidate q in all T + 1 class slots."""

@@ -399,6 +399,21 @@ class TestCostLog:
         for s, units in res.cost.spod_update_units.items():
             assert units == spec.alpha * (s - spec.J) * N
 
+    @pytest.mark.parametrize("m,J", [(8, 0), (6, 2)])
+    def test_spod_classes_are_the_distinct_column_tuples(self, m, J):
+        # the final block's sweep keeps one entry per distinct tuple, over
+        # the T + 1 class slots, of the columns the SPOD regime chose before
+        # that block; the product regime's columns split no class
+        alpha, s_max = 2, 12
+        res = fast_cbc(spec_with(J=J), m, s_max)
+        om = OmegaMatrix(res.gen_vector.modulus, alpha)
+        earlier = res.gen_vector.q[alpha * J : alpha * (s_max - 1)]
+        stacked = np.stack([om.slot_column(q.to_int()) for q in earlier])
+        n_tuples = np.unique(stacked, axis=1).shape[1]
+        assert res.cost.spod_classes == n_tuples
+        assert 1 < n_tuples < om.period + 1
+        assert fast_cbc(spec_with(J=4), 5, 4).cost.spod_classes is None
+
     def test_counts_scale_on_a_doubling_grid(self):
         # b=2, m=4: assembly is quadratic in s-J, the search linear in s
         alpha, N = 2, 16
@@ -528,6 +543,29 @@ class TestClassSlots:
             assert u.tobytes() == fold.tobytes()
 
 
+class TestStateClasses:
+    @pytest.mark.parametrize("b,m", [(2, 7), (3, 4), (5, 3)])
+    def test_refine_splits_by_the_column_tuples(self, b, m):
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        classes = cbc._StateClasses(om)
+        rng = np.random.default_rng(b * m)
+        picked = []
+        for block in ([1, 1], rng.integers(1, b**m, 2), [1], rng.integers(1, b**m, 3)):
+            before, n = classes.of.copy(), len(classes)
+            source = classes.refine([int(q) for q in block])
+            picked += [int(q) for q in block]
+            # kept classes keep their id; appended ones name the class split
+            assert len(classes) == n + source.size
+            assert np.all(np.concatenate([np.arange(n), source])[classes.of] == before)
+            assert np.all(classes.of[classes.rep] == np.arange(len(classes)))
+            # slots share a class exactly when they share every column entry
+            stacked = np.stack([om.slot_column(q) for q in picked])
+            tuples = np.unique(stacked, axis=1, return_inverse=True)[1]
+            pairs = set(zip(classes.of.tolist(), tuples.tolist()))
+            assert len(pairs) == len(classes) == tuples.max() + 1
+        assert len(classes) > 2
+
+
 class TestSidecar:
     def test_sidecar_schema(self):
         spec = spec_with(J=1)
@@ -535,8 +573,9 @@ class TestSidecar:
         check = verify_bound(res, spec)
         doc = res.sidecar_dict(bound_check=check)
         assert set(doc) == {"E_per_step", "J", "timings", "bound_check", "spod_order_cap",
-                            "spod_rerun", "rescored", "distinct_coordinates",
+                            "spod_rerun", "spod_classes", "rescored", "distinct_coordinates",
                             "repeated_coordinates"}
+        assert doc["spod_classes"] == res.cost.spod_classes
         assert doc["timings"] == res.timings
         assert doc["rescored"] == res.cost.rescored and len(doc["rescored"]) == res.d - 1
         assert all(type(n) is int for n in doc["rescored"])
@@ -595,15 +634,20 @@ class TestOrderCap:
         # replay the full recursion: at every capped block, A and xtail bound
         # the U and X rows the sweep never formed, point by point
         spec, alpha, s_max = spec_with(J=0), 2, 150
-        seen = {}
-        certify = cbc._certify_cap
+        seen, partitions = {}, []
+        certify, init = cbc._certify_cap, cbc._StateClasses.__init__
 
         def spy(U_rows, K, A, gval, L, W, S2_prev):
             xtail = certify(U_rows, K, A, gval, L, W, S2_prev)
-            seen[L // alpha] = (K, A.copy(), xtail.copy())
+            seen[L // alpha] = (K, A.copy(), xtail.copy(), partitions[-1].of.copy())
             return xtail
 
+        def spy_init(self, matrix):
+            init(self, matrix)
+            partitions.append(self)
+
         monkeypatch.setattr(cbc, "_certify_cap", spy)
+        monkeypatch.setattr(cbc._StateClasses, "__init__", spy_init)
         res = fast_cbc(spec, 4, s_max)
         assert len(seen) > 50
         gv = res.gen_vector
@@ -620,9 +664,10 @@ class TestOrderCap:
                 for nu in range(1, min(alpha, ell) + 1):
                     X[ell] += order_weight(s, nu, spec) * math.perm(ell, nu) * U[ell - nu]
             if s in seen:
-                K, A, xtail = seen[s]
-                # A and xtail hold one entry per class slot
-                A, xtail = A[om.class_of], xtail[om.class_of]
+                K, A, xtail, state_of = seen[s]
+                # A and xtail hold one entry per state class: map each point
+                # to its class slot, and the slot to its state class
+                A, xtail = A[state_of][om.class_of], xtail[state_of][om.class_of]
                 assert np.all(np.abs(U[K + 1 :]).sum(axis=0) <= A * (1 + 1e-12)), s
                 assert np.all(np.abs(X[K + 1 :]).sum(axis=0) <= xtail * (1 + 1e-12)), s
             V = np.ones(N)

@@ -322,6 +322,21 @@ class TestOmegaMatrix:
             with pytest.raises(ValueError):
                 om.class_column(q)
 
+    @pytest.mark.parametrize("b,m", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_class_degrees_are_the_product_degrees(self, b, m):
+        # entry class_of[n] - 1 of class_degrees(q) is the degree of n q mod P,
+        # read off the product's encoding, and the column is omega of it
+        om = OmegaMatrix(find_irreducible(b, m), 2)
+        shells = np.array([omega_at_position(m - k, 2, b) for k in range(m)])
+        n = np.arange(1, b**m)
+        for q in range(1, b**m):
+            degs = om.class_degrees(q)
+            assert degs.dtype == np.uint8 and np.shares_memory(degs, om._deg2)  # a view
+            products = om.pow_enc[(om.exp_of[n] + om.exp_of[q]) % om.size]
+            want = [len(np.base_repr(int(e), b)) - 1 for e in products]
+            assert degs[om.class_of[n] - 1].tolist() == want, q
+            assert shells[degs].tobytes() == om.class_column(q).tobytes(), q
+
     def test_multiply_takes_one_entry_per_class(self):
         om = OmegaMatrix(find_irreducible(3, 4), 2)
         with pytest.raises(ValueError, match="length 40"):
