@@ -417,12 +417,11 @@ class _StateClasses:
         Each class keeps its id for the part that holds its rep slot; the
         other parts are appended as new classes.  Returns, for each appended
         class in id order, the class it was split from, so only its entries
-        need copying.  O(T + n m) per new column, with no sort: a table over
-        the (class, degree) pairs numbers the parts.
+        need copying.  O(T) per new column, with no sort.
         """
         n0, n_codes = len(self), self.matrix.m + 1
         source = np.arange(n0)
-        for enc in encodings:
+        for enc in dict.fromkeys(encodings):
             if enc in self.refined:
                 continue
             self.refined.add(enc)
@@ -430,19 +429,19 @@ class _StateClasses:
             key = self.of * n_codes
             key[0] += n_codes - 1  # slot 0, the point n = 0, has no degree
             key[1:] += self.matrix.class_degrees(enc)
-            kept = key[self.rep]
-            present = np.zeros(n * n_codes, dtype=bool)
-            present[key] = True
-            present[kept] = False
-            split = np.flatnonzero(present)
-            if not split.size:
+            moved = np.flatnonzero(key != key[self.rep][self.of])
+            if not moved.size:
                 continue
+            # number the moved keys through a (class, degree) table: of the
+            # slots that write one key, exactly one reads its own index back
+            keys, order = key[moved], np.arange(moved.size)
             ids = np.empty(n * n_codes, dtype=np.intp)
-            ids[kept] = np.arange(n)
+            ids[keys] = order
+            first = ids[keys] == order
+            split = keys[first]
             ids[split] = np.arange(n, n + split.size)
-            self.of = ids[key]
-            self.rep = np.empty(n + split.size, dtype=np.intp)
-            self.rep[self.of] = np.arange(self.of.size)
+            self.of[moved] = ids[keys]
+            self.rep = np.concatenate([self.rep, moved[first]])
             source = np.concatenate([source, source[split // n_codes]])
         return source[n0:]
 

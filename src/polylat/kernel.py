@@ -120,8 +120,9 @@ class OmegaMatrix:
     (pow_enc[r] is the encoding of g^r, exp_of[enc] its exponent;
     exp_of[0] = -1, since zero has no discrete log), and the transform of
     one period c[:T], T = (b^m-1)/(b-1), padded to fft_len, used for
-    scoring.  The degree of each g^r, r < T, is kept too, doubled as c is.  class_enc[i] is the smallest encoding of the scalar class of
-    g^i, its monic member; class_of[n] is the class slot of point n (0 for
+    scoring.  The degrees of g^r, r < T, are kept as uint8, doubled as c
+    is.  class_enc[i] is the smallest encoding of the scalar class of g^i,
+    its monic member; class_of[n] is the class slot of point n (0 for
     n = 0, 1 + exp(n) mod T otherwise).  Immutable after construction;
     multiplies are pure.  pow_enc and exp_of are exponent_tables' read-only
     memo, shared with pointgen.
@@ -193,10 +194,10 @@ class OmegaMatrix:
     def class_degrees(self, q) -> np.ndarray:
         """deg(g^i q mod P) for each class slot 1 + i, as uint8.
 
-        The window of the doubled degree codes at e = exp q mod T, a view, as
-        class_column(q) is of c2.  class_column(q) is a function of it, so
-        class slots whose degrees agree on every chosen column hold the same
-        product of column entries.
+        The window of the doubled degrees at e = exp q mod T, a view, as
+        class_column(q) is of c2.  class_column(q) is omega at position
+        m - degree, a function of it, so class slots whose degrees agree on
+        a set of columns agree on every column entry of the set.
         """
         e = self._exponent(q) % self.period
         return self._deg2[e : e + self.period]

@@ -632,7 +632,8 @@ class TestOrderCap:
 
     def test_certificate_bounds_the_skipped_rows(self, monkeypatch):
         # replay the full recursion: at every capped block, A and xtail bound
-        # the U and X rows the sweep never formed, point by point
+        # the U and X rows the sweep never formed, point by point; at m = 9
+        # classes split after the cap (component 136 is a new column)
         spec, alpha, s_max = spec_with(J=0), 2, 150
         seen, partitions = {}, []
         certify, init = cbc._certify_cap, cbc._StateClasses.__init__
@@ -648,33 +649,35 @@ class TestOrderCap:
 
         monkeypatch.setattr(cbc, "_certify_cap", spy)
         monkeypatch.setattr(cbc._StateClasses, "__init__", spy_init)
-        res = fast_cbc(spec, 4, s_max)
-        assert len(seen) > 50
-        gv = res.gen_vector
-        om = OmegaMatrix(gv.modulus, alpha)
-        N = gv.n_points
-        col = np.empty(N)
-        col[0] = omega_at_position(None, alpha, 2)
-        U = np.zeros((alpha * s_max + 1, N))
-        U[0] = 1.0
-        for s in range(1, s_max + 1):
-            L = alpha * s
-            X = np.zeros((L + 1, N))
-            for ell in range(1, L + 1):
-                for nu in range(1, min(alpha, ell) + 1):
-                    X[ell] += order_weight(s, nu, spec) * math.perm(ell, nu) * U[ell - nu]
-            if s in seen:
-                K, A, xtail, state_of = seen[s]
-                # A and xtail hold one entry per state class: map each point
-                # to its class slot, and the slot to its state class
-                A, xtail = A[state_of][om.class_of], xtail[state_of][om.class_of]
-                assert np.all(np.abs(U[K + 1 :]).sum(axis=0) <= A * (1 + 1e-12)), s
-                assert np.all(np.abs(X[K + 1 :]).sum(axis=0) <= xtail * (1 + 1e-12)), s
-            V = np.ones(N)
-            for q in gv.q[(s - 1) * alpha : s * alpha]:
-                col[1:] = om.column(q.to_int())
-                V *= 1.0 + col
-            U[1 : L + 1] += (V - 1.0) * X[1:]
+        for m in (4, 9):
+            seen.clear()
+            res = fast_cbc(spec, m, s_max)
+            assert len(seen) > 50
+            gv = res.gen_vector
+            om = OmegaMatrix(gv.modulus, alpha)
+            N = gv.n_points
+            col = np.empty(N)
+            col[0] = omega_at_position(None, alpha, 2)
+            U = np.zeros((alpha * s_max + 1, N))
+            U[0] = 1.0
+            for s in range(1, s_max + 1):
+                L = alpha * s
+                X = np.zeros((L + 1, N))
+                for ell in range(1, L + 1):
+                    for nu in range(1, min(alpha, ell) + 1):
+                        X[ell] += order_weight(s, nu, spec) * math.perm(ell, nu) * U[ell - nu]
+                if s in seen:
+                    K, A, xtail, state_of = seen[s]
+                    # A and xtail hold one entry per state class: map each
+                    # point to its class slot, and the slot to its state class
+                    A, xtail = A[state_of][om.class_of], xtail[state_of][om.class_of]
+                    assert np.all(np.abs(U[K + 1 :]).sum(axis=0) <= A * (1 + 1e-12)), (m, s)
+                    assert np.all(np.abs(X[K + 1 :]).sum(axis=0) <= xtail * (1 + 1e-12)), (m, s)
+                V = np.ones(N)
+                for q in gv.q[(s - 1) * alpha : s * alpha]:
+                    col[1:] = om.column(q.to_int())
+                    V *= 1.0 + col
+                U[1 : L + 1] += (V - 1.0) * X[1:]
 
     def test_certificate_checks_finiteness_point_by_point(self):
         # W and S2_prev near the top of the float range are finite even
